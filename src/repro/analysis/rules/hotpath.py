@@ -23,12 +23,12 @@ rule makes the contract machine-checked: inside code marked
   ``while`` loop: each call copies its whole operand, so an
   insertion-construction loop built on them is quadratic.  The
   vectorized GRASP engine (``repro.orienteering``) keeps these out of
-  its per-restart loops; the one deliberate exception (the scalar
-  reference constructor) carries an allow comment.
+  its per-restart loops; the one deliberate exception (the single-tour
+  ``greedy_fill`` constructor) carries an allow comment.
 
 Scope markers nest: a ``# repro: hot-path`` comment at module top level
 marks the whole file; a function containing ``# repro: cold-path``
-opts back out (the legacy dense-engine branches); a single function in an
+opts back out (e.g. paper-literal reference modes); a single function in an
 otherwise cold module can be marked hot on its own.  Intentional dense
 allocations (small, once-per-run) carry
 ``# repro: allow[hot-path-purity] -- reason``.

@@ -20,7 +20,6 @@ import numpy as np
 from repro.core.hovering import HoveringSites
 from repro.energy.model import EnergyModel
 from repro.geometry.distance import pairwise_distances
-from repro.orienteering.problem import transpose_copy
 from repro.utils.errors import InvalidParameterError
 from repro.utils.rng import as_rng
 
@@ -34,7 +33,8 @@ class AuxiliaryGraph:
     points:
         ``(m+1, 2)`` coordinates; row 0 is the depot.
     costs:
-        ``(m+1, m+1)`` symmetric ``w2`` edge-weight matrix (joules).
+        ``(m+1, m+1)`` ``w2`` edge-weight matrix (joules), exactly
+        symmetric: row ``v`` is column ``v`` bit for bit.
     awards:
         Length-``m+1`` node awards; ``awards[0] = 0`` (the depot collects
         nothing).
@@ -60,21 +60,6 @@ class AuxiliaryGraph:
     def n_nodes(self) -> int:
         """Node count ``m + 1`` (depot included)."""
         return len(self.points)
-
-    @property
-    def costs_t(self) -> np.ndarray:
-        """C-contiguous transpose of ``costs``, built lazily and cached.
-
-        Shared across every cell of a sweep that reuses this graph via
-        the artifact cache, and attached to each cell's orienteering
-        instance (:meth:`OrienteeringInstance.attach_costs_t`) so the
-        planners' row-gather kernels never re-transpose per cell.
-        """
-        ct = getattr(self, "_costs_t", None)
-        if ct is None:
-            ct = transpose_copy(self.costs)
-            self._costs_t = ct
-        return ct
 
     def tour_energy(self, tour) -> float:
         """Energy of a closed tour = sum of its ``w2`` edge weights."""
@@ -125,6 +110,9 @@ def build_auxiliary_graph(sites: HoveringSites,
     # In-place accumulation: bitwise-identical to
     # ``0.5 * (w1[:, None] + w1[None, :]) + dist * rate`` (same elementwise
     # operations in the same order) without the three (m+1, m+1) temps.
+    # Every step is exactly symmetric (``pairwise_distances`` is, and
+    # ``w1_i + w1_j`` commutes), which the orienteering kernels rely on
+    # when they gather rows in place of columns.
     dist = pairwise_distances(points)
     dist *= energy.travel_cost_per_meter
     costs = w1[:, None] + w1[None, :]

@@ -53,12 +53,11 @@ def _dispatch(network: SensorNetwork, energy: EnergyModel, radio: RadioModel,
         kwargs.setdefault("K", 2)
         return plan_algorithm3(network, energy, radio, delta, **kwargs)
     if method == "benchmark":
-        engine = kwargs.pop("engine", "kernel")
         if kwargs:
             raise InvalidParameterError(
                 f"benchmark planner takes no extra options, "
                 f"got {sorted(kwargs)}")
-        return plan_benchmark(network, energy, radio, engine=engine)
+        return plan_benchmark(network, energy, radio)
     raise InvalidParameterError(
         f"unknown method {method!r}; expected one of {sorted(PLANNERS)}")
 

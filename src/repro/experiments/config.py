@@ -90,6 +90,10 @@ class ExperimentConfig:
         check_integer(self.n_instances, "n_instances", minimum=1)
         if not self.capacity_sweep or not self.delta_sweep:
             raise InvalidParameterError("sweeps must be non-empty")
+        for capacity in self.capacity_sweep:
+            check_positive(capacity, "capacity_sweep entry")
+        for delta in self.delta_sweep:
+            check_positive(delta, "delta_sweep entry")
         for k in self.k_values:
             check_integer(k, "k_values entry", minimum=1)
 
@@ -99,8 +103,14 @@ class ExperimentConfig:
         return Region.square(self.region_side)
 
     def energy_model(self, capacity: float | None = None) -> EnergyModel:
-        """The UAV energy model, optionally at a swept capacity."""
-        return EnergyModel(capacity=capacity or self.capacity,
+        """The UAV energy model, optionally at a swept capacity.
+
+        ``capacity=None`` means the configured default; any other value,
+        including 0, is passed through for :class:`EnergyModel` to
+        validate.
+        """
+        return EnergyModel(capacity=self.capacity if capacity is None
+                           else capacity,
                            hover_power=self.hover_power,
                            travel_power=self.travel_power,
                            speed=self.speed,

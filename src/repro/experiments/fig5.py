@@ -38,9 +38,9 @@ def run_fig5(config: ExperimentConfig,
     fixed here, so the cache builds each instance's grid exactly once
     for the whole sweep.  This sweep is the batch-column showcase: with
     ``batch_columns=True`` every Algorithm 2/3 spec plans its whole
-    capacity column per instance in one ``engine="batch"`` call
-    (identical tours, one stacked numpy program instead of one greedy
-    loop per capacity; the benchmark keeps the per-cell path).
+    capacity column per instance in one batch call (identical tours,
+    one stacked numpy program instead of one greedy loop per capacity;
+    the benchmark keeps the per-cell path).
     ``site_reduction`` applies the candidate-site reduction pre-pass to
     the Algorithm 2/3 cells; capacity-dependent stages bound a batch
     column by its largest capacity, so columns stay plan-preserving at

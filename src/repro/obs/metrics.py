@@ -5,8 +5,8 @@ This is the structured successor of the planner kernel's hand-rolled
 now keeps a :class:`MetricsRegistry` and serves the *same*
 ``CollectionTour.meta["perf"]`` snapshot from it (engine, integer work
 counters, ``seconds`` per phase), so downstream consumers — the
-experiment runner's perf aggregation, ``benchmarks/bench_kernel.py`` —
-see an unchanged contract.
+experiment runner's perf aggregation, the bench ledger — see an
+unchanged contract.
 
 Three instrument kinds, all get-or-create by name:
 

@@ -18,7 +18,7 @@ A :class:`RunRecord` is the ledger's unit of accounting — every
     executor ships work units with) — two records with equal hashes ran
     the same campaign;
 ``engine`` / ``jobs``
-    execution engine (``kernel``/``dense``/``batch``) and worker count;
+    code path that planned (``kernel``/``batch``/``fast``) and worker count;
 ``wall_s``
     measured wall-clock seconds (**nondeterministic** — excluded from
     :meth:`RunRecord.deterministic_dict`);

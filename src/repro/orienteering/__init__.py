@@ -14,9 +14,10 @@ Bansal et al. 3-approximation):
   (n <= ~14),
 * :mod:`repro.orienteering.greedy` — deterministic best-ratio insertion,
 * :mod:`repro.orienteering.local_search` — add/drop/replace/2-opt polishing,
-* :mod:`repro.orienteering.grasp` — randomised multi-start wrapper,
-* :mod:`repro.orienteering.fast` — the stacked GRASP engine (all restarts
-  as one numpy program, bitwise-identical to the scalar path),
+* :mod:`repro.orienteering.fast` — GRASP, the randomised multi-start
+  solver (all restarts as one numpy program),
+* :mod:`repro.orienteering.grasp` — GRASP's dedup/polish/selection back
+  half and the δ-continuation warm start,
 * :mod:`repro.orienteering.solver` — facade picking exact vs GRASP by size.
 
 All solvers support optional *conflict groups* — sets of mutually exclusive
@@ -30,7 +31,6 @@ from repro.orienteering.problem import (OrienteeringInstance,
 from repro.orienteering.exact import solve_exact
 from repro.orienteering.greedy import solve_greedy
 from repro.orienteering.local_search import improve_solution
-from repro.orienteering.grasp import solve_grasp
 from repro.orienteering.fast import solve_grasp_fast
 from repro.orienteering.solver import solve_orienteering
 
@@ -41,7 +41,6 @@ __all__ = [
     "solve_exact",
     "solve_greedy",
     "improve_solution",
-    "solve_grasp",
     "solve_grasp_fast",
     "solve_orienteering",
 ]

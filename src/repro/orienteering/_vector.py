@@ -4,16 +4,17 @@ All heavy per-candidate work — insertion deltas, ratio scoring, conflict
 masking — is expressed as numpy operations over the instance's cost
 matrix, so the greedy constructor and the local-search passes cost
 O(n * |tour|) numpy work per step instead of O(n * |tour|) Python loops.
+Every gather reads contiguous *rows* of the cost matrix: an instance's
+``costs`` is exactly symmetric (see :class:`~repro.orienteering.problem.
+OrienteeringInstance`), so row ``v`` is column ``v`` bit for bit.
 
 Randomised (GRASP) construction consumes a pre-drawn **RNG tape**: one
 uniform ``[0, 1)`` draw per accepted insertion, mapped onto a
 *sorted* restricted candidate list by :func:`rcl_pick`.  Because the
-tape is drawn up front and the RCL is ordered by node index, the scalar
-restart loop (:func:`greedy_fill` once per restart) and the stacked
-fast engine (:mod:`repro.orienteering.fast`, all restarts at once) make
-bitwise-identical choices from the same tape row — and the choices are
-invariant under site renumbering that preserves relative index order
-(the `ReducedSites` survivor maps do).
+tape is drawn up front and the RCL is ordered by node index, the
+stacked constructions (:mod:`repro.orienteering.fast`) replay restart by
+restart, and the choices are invariant under site renumbering that
+preserves relative index order (the `ReducedSites` survivor maps do).
 """
 # repro: hot-path
 
@@ -26,8 +27,7 @@ import numpy as np
 from repro.orienteering.problem import OrienteeringInstance
 
 
-def all_insertion_deltas(tour: np.ndarray, costs: np.ndarray,
-                         costs_t: Optional[np.ndarray] = None
+def all_insertion_deltas(tour: np.ndarray, costs: np.ndarray
                          ) -> Tuple[np.ndarray, np.ndarray]:
     """Cheapest insertion delta of *every* node into the closed *tour*.
 
@@ -35,11 +35,9 @@ def all_insertion_deltas(tour: np.ndarray, costs: np.ndarray,
     is the tour index before which node ``v`` would be inserted.  Entries
     for nodes already on the tour are meaningless (callers mask them).
 
-    *costs_t* (``instance.costs_t``) routes the gathers over contiguous
-    rows of the transposed matrix instead of strided columns of *costs*
-    — the same elements bit-for-bit, several times faster at paper
-    scale.  Both layouts accumulate in place on the first fancy-index
-    copy and tie-break ``argmin`` at the first minimal tour position.
+    The symmetric *costs* is gathered by contiguous rows, accumulated in
+    place on the first fancy-index copy, and ``argmin`` tie-breaks at the
+    first minimal tour position.
     """
     n = len(costs)
     k = len(tour)
@@ -49,20 +47,12 @@ def all_insertion_deltas(tour: np.ndarray, costs: np.ndarray,
         return 2.0 * costs[tour[0]], np.ones(n, dtype=int)
     nxt = np.roll(tour, -1)
     edge = costs[tour, nxt]                        # (k,)
-    if costs_t is not None:
-        # cand[i, v] = c(tour_i, v) + c(v, tour_{i+1}) - edge_i
-        cand = costs_t[tour]
-        cand += costs_t[nxt]
-        cand -= edge[:, None]
-        best = np.argmin(cand, axis=0)
-        deltas = cand[best, np.arange(n)]
-    else:
-        # cand[v, i] = c(tour_i, v) + c(v, tour_{i+1}) - edge_i
-        cand = costs[:, tour]
-        cand += costs[:, nxt]
-        cand -= edge[None, :]
-        best = np.argmin(cand, axis=1)
-        deltas = cand[np.arange(n), best]
+    # cand[i, v] = c(tour_i, v) + c(v, tour_{i+1}) - edge_i
+    cand = costs[tour]
+    cand += costs[nxt]
+    cand -= edge[:, None]
+    best = np.argmin(cand, axis=0)
+    deltas = cand[best, np.arange(n)]
     positions = (best + 1) % k
     positions[positions == 0] = k
     return deltas, positions
@@ -84,7 +74,7 @@ def insertion_ratio(deltas: np.ndarray, awards: np.ndarray,
     """Award-per-marginal-cost score; ``-inf`` off the feasible set.
 
     Zero-delta feasible insertions score ``+inf`` (free award).  Shared
-    by the scalar constructor and the stacked fast engine so both paths
+    by the greedy constructor and the stacked GRASP constructions so both
     rank candidates through the identical float expression.
     """
     with np.errstate(divide="ignore"):
@@ -102,8 +92,7 @@ def rcl_pick(ratio: np.ndarray, n_feasible: int, u: float,
     ordered by **node index** — an order-isomorphism under any
     renumbering that preserves relative index order, which is what makes
     reduction-seeded restarts renumbering-invariant.  ``u`` in ``[0, 1)``
-    indexes the list uniformly; the same ``(ratio, u)`` pair yields the
-    same node on the scalar and stacked paths.
+    indexes the list uniformly.
     """
     k = rcl_size if rcl_size < n_feasible else n_feasible
     top = np.sort(np.argpartition(-ratio, k - 1)[:k])
@@ -127,9 +116,6 @@ def draw_rng_tape(rng: np.random.Generator, n_restarts: int,
 
 
 def greedy_fill(instance: OrienteeringInstance, tour: np.ndarray, *,
-                rng: Optional[np.random.Generator] = None,
-                tape: Optional[np.ndarray] = None,
-                rcl_size: int = 1,
                 blocked: Optional[np.ndarray] = None) -> np.ndarray:
     """Insert feasible nodes by best award/delta ratio until none fits.
 
@@ -139,12 +125,6 @@ def greedy_fill(instance: OrienteeringInstance, tour: np.ndarray, *,
         The orienteering instance.
     tour:
         Starting tour (depot-first); not modified.
-    rng, tape, rcl_size:
-        With ``rcl_size > 1``, each step picks from the sorted top-
-        ``rcl_size`` candidates (GRASP) driven by one tape entry per
-        insertion.  Pass *tape* directly (a 1-D ``[0, 1)`` array, e.g.
-        one row of :func:`draw_rng_tape`) for replayable construction,
-        or *rng* to draw a tape internally.
     blocked:
         Optional starting block-mask (nodes never to insert); conflict
         blocking is applied on top.
@@ -156,15 +136,9 @@ def greedy_fill(instance: OrienteeringInstance, tour: np.ndarray, *,
     """
     n = instance.n_nodes
     costs = instance.costs
-    costs_t = instance.costs_t
     budget = instance.budget
     awards = instance.awards
     neigh = conflict_neighbors(instance)
-
-    if tape is None and rng is not None and rcl_size > 1:
-        tape = rng.random(max(n - 1, 1))
-    randomized = tape is not None and rcl_size > 1
-    drawn = 0
 
     cur = np.asarray(tour, dtype=int).copy()
     cost = instance.tour_cost(cur)
@@ -182,17 +156,11 @@ def greedy_fill(instance: OrienteeringInstance, tour: np.ndarray, *,
     while True:
         if unavailable.all():
             break
-        deltas, positions = all_insertion_deltas(cur, costs, costs_t)
+        deltas, positions = all_insertion_deltas(cur, costs)
         feasible = ~unavailable & (cost + deltas <= budget + 1e-9)
         if not feasible.any():
             break
-        ratio = insertion_ratio(deltas, awards, feasible)
-        if not randomized:
-            v = int(np.argmax(ratio))
-        else:
-            v = rcl_pick(ratio, int(feasible.sum()),
-                         float(tape[drawn]), rcl_size)
-            drawn += 1
+        v = int(np.argmax(insertion_ratio(deltas, awards, feasible)))
         pos = int(positions[v])
         # repro: allow[hot-path-purity] -- one O(k) copy per accepted insertion
         cur = np.insert(cur, pos if pos != 0 else len(cur), v)
@@ -227,7 +195,6 @@ def swap_pass(instance: OrienteeringInstance, tour: np.ndarray) -> np.ndarray:
     """
     n = instance.n_nodes
     costs = instance.costs
-    costs_t = instance.costs_t
     k = len(tour)
     if k < 2:
         return tour
@@ -245,9 +212,8 @@ def swap_pass(instance: OrienteeringInstance, tour: np.ndarray) -> np.ndarray:
         prev_node = int(tour[i - 1])
         next_node = int(tour[(i + 1) % k])
         base = costs[prev_node, u] + costs[u, next_node]
-        # costs_t[next_node] is costs[:, next_node] element-for-element
-        # (contiguous row instead of a strided column).
-        new_cost_v = cost - base + costs[prev_node, :] + costs_t[next_node]
+        # Row next_node is column next_node (costs is exactly symmetric).
+        new_cost_v = cost - base + costs[prev_node, :] + costs[next_node]
         gain_v = awards - awards[u]
         ok = off & (gain_v > 1e-12) & (new_cost_v <= instance.budget + 1e-9)
         if counts is not None and ok.any():

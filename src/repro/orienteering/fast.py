@@ -1,29 +1,30 @@
-"""Stacked GRASP engine: all restarts as one numpy program.
+"""Stacked GRASP: all restarts as one numpy program.
 
-The scalar engine (:func:`repro.orienteering.grasp.solve_grasp`) runs
-``n_restarts`` independent constructions, each recomputing the same
-insertion-delta geometry step by step.  This module runs them *stacked*:
-one ``(R, k, n)`` candidate tensor per step serves every still-active
-restart, so the per-step numpy dispatch overhead is paid once instead of
-``R`` times and the cost-matrix rows stream through the CPU cache once.
+GRASP runs ``n_restarts`` independent constructions that would each
+recompute the same insertion-delta geometry step by step.  This module
+runs them *stacked*: one ``(R, k, n)`` candidate tensor per step serves
+every still-active restart, so the per-step numpy dispatch overhead is
+paid once instead of ``R`` times and the cost-matrix rows stream through
+the CPU cache once.
 
-Bitwise equivalence to the scalar path holds restart-by-restart because
+Each restart's choices are exactly those of growing it alone, step by
+step, because
 
-* both paths draw the same pre-drawn RNG tape
-  (:func:`~repro.orienteering._vector.draw_rng_tape`) and map each entry
-  through the same sorted-RCL pick (:func:`~repro.orienteering._vector.
-  rcl_pick`);
+* every restart reads its own row of the pre-drawn RNG tape
+  (:func:`~repro.orienteering._vector.draw_rng_tape`) through the sorted-
+  RCL pick (:func:`~repro.orienteering._vector.rcl_pick`), and restart 0
+  is the deterministic greedy of
+  :func:`~repro.orienteering._vector.greedy_fill`;
 * every float expression (insertion deltas, feasibility, ratios) is the
   same elementwise numpy program evaluated on the same values — the
-  stacked tensor's row ``r`` slice is the scalar path's array;
+  stacked tensor's row ``r`` slice is the one-restart array;
 * all active restarts insert exactly one node per step, so they share a
   tour length and the stack never ragged-pads.
 
-Construction dedup, local search, and best-selection are the *shared*
-back half (:func:`~repro.orienteering.grasp.polish_constructions`), so
-the returned solution — tour, award, cost, stats — is identical to the
-scalar engine's.  ``tests/test_orienteering_fast.py`` pins all of this
-property-style.
+Construction dedup, local search, and best-selection follow in
+:func:`~repro.orienteering.grasp.polish_constructions`.
+``tests/test_orienteering_fast.py`` pins the restart-by-restart
+equivalence against a one-restart-at-a-time oracle, property-style.
 """
 # repro: hot-path
 
@@ -47,13 +48,11 @@ def stacked_constructions(instance: OrienteeringInstance, n_restarts: int,
                           tape: np.ndarray) -> List[np.ndarray]:
     """All GRASP constructions at once; row 0 is the deterministic greedy.
 
-    Returns the restart tours in restart order, each bitwise equal to
-    what :func:`~repro.orienteering._vector.greedy_fill` grows from the
-    same tape row.
+    Returns the restart tours in restart order; row ``r`` of *tape*
+    drives restart ``r + 1``.
     """
     n = instance.n_nodes
     costs = instance.costs
-    costs_t = instance.costs_t
     budget = instance.budget
     awards = instance.awards
     neigh = conflict_neighbors(instance)
@@ -94,13 +93,11 @@ def stacked_constructions(instance: OrienteeringInstance, n_restarts: int,
             # repro: allow[hot-path-purity] -- (a, k) roll, once per step
             nxt = np.concatenate([tact[:, 1:], tact[:, :1]], axis=1)
             edge = costs[tact, nxt]                              # (a, k)
-            # cand[r, i, v]: insert v after position i of restart r's tour
-            # — gathered over the contiguous rows of ``costs_t``, so
-            # cand[r, i, v] == costs[v, tact[r, i]] + costs[v, nxt[r, i]]
-            # - edge[r, i] bit-for-bit (costs_t is a pure relabeling),
-            # and slice [r] is the scalar path's (k, n) matrix.
-            cand = costs_t[tact]
-            cand += costs_t[nxt]
+            # cand[r, i, v]: insert v after position i of restart r's tour,
+            # gathered over contiguous rows of the symmetric ``costs``;
+            # slice [r] is all_insertion_deltas' (k, n) matrix.
+            cand = costs[tact]
+            cand += costs[nxt]
             cand -= edge[:, :, None]
             best = np.argmin(cand, axis=1)                       # (a, n)
             deltas = np.take_along_axis(
@@ -145,10 +142,30 @@ def solve_grasp_fast(instance: OrienteeringInstance, *,
                      tape_nodes: Optional[int] = None,
                      warm_tour: Optional[np.ndarray] = None
                      ) -> OrienteeringSolution:
-    """GRASP via the stacked construction engine.
+    """Solve via GRASP, all restarts stacked.
 
-    Same signature and bitwise-identical result as
-    :func:`repro.orienteering.grasp.solve_grasp`.
+    Parameters
+    ----------
+    instance:
+        The orienteering instance.
+    n_restarts:
+        Total construction attempts (>= 1).  Restart 0 is deterministic
+        greedy; restarts 1.. are randomised.
+    rcl_size:
+        Restricted-candidate-list size for the randomised constructions.
+    seed:
+        RNG seed for reproducibility.
+    local_search:
+        Apply the add/drop/replace/2-opt polish after each construction.
+    tape_nodes:
+        Node count the RNG tape is sized for (default: the instance's
+        own).  Pass the *original* pre-reduction count so restarts on a
+        reduced instance replay the exact same tape as unreduced runs.
+    warm_tour:
+        Optional extra starting tour (e.g. a coarser δ-grid's projected
+        solution) polished *after* the restarts; it replaces the restart
+        winner only on strict improvement, so a non-improving warm start
+        leaves the result bitwise unchanged.
     """
     n_restarts = check_integer(n_restarts, "n_restarts", minimum=1)
     check_integer(rcl_size, "rcl_size", minimum=1)

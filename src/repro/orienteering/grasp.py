@@ -1,4 +1,4 @@
-"""GRASP metaheuristic for orienteering.
+"""GRASP metaheuristic for orienteering: the shared back half.
 
 Greedy Randomised Adaptive Search Procedure: *n_restarts* iterations of
 (randomised greedy construction → local search), keeping the best feasible
@@ -6,13 +6,12 @@ solution found.  The first restart is always the *deterministic* greedy
 construction so GRASP provably never returns a worse solution than
 :func:`repro.orienteering.greedy.solve_greedy` followed by local search.
 
-Randomness is a pre-drawn **tape** (:func:`~repro.orienteering._vector.
-draw_rng_tape`): restart ``r`` replays row ``r - 1``, so restarts are
-independent, replayable one at a time, and — via ``tape_nodes`` — drawn
-against the *original* node count even when the instance was shrunk by a
-site reduction.  Identical constructions are deduplicated (local search
-is a pure function of the tour) and restart-level work counters are
-returned on ``solution.stats`` for the ``meta["perf"]`` contract.
+The constructions themselves run stacked, all restarts as one numpy
+program (:mod:`repro.orienteering.fast`).  This module holds what follows
+them: construction dedup (local search is a pure function of the tour),
+local search, best-selection, the warm-start tour, and the restart-level
+work counters returned on ``solution.stats`` for the ``meta["perf"]``
+contract.
 
 This is the library's large-instance orienteering solver and the stand-in
 for the Bansal et al. 3-approximation (DESIGN.md substitution S1).
@@ -25,13 +24,11 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from repro.obs.metrics import MetricsRegistry
-from repro.orienteering._vector import draw_rng_tape, greedy_fill
-from repro.orienteering.greedy import randomized_construct, solve_greedy
+from repro.orienteering._vector import greedy_fill
 from repro.orienteering.local_search import improve_solution
 from repro.orienteering.problem import (OrienteeringInstance,
                                         OrienteeringSolution, make_solution)
 from repro.utils.errors import InvalidParameterError
-from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_integer
 
 #: The ``grasp.*`` work counters every solve reports (``solution.stats``).
@@ -53,11 +50,11 @@ def polish_constructions(instance: OrienteeringInstance,
                          ) -> OrienteeringSolution:
     """Dedup, polish, and select over an ordered construction stream.
 
-    The shared back half of the scalar and stacked GRASP engines:
-    identical constructions run local search once (it is a pure function
-    of the tour), the best solution is kept in stream order, and the
-    optional *warm_tour* is polished last — replacing the winner only on
-    strict improvement.  Work counters land on ``solution.stats``.
+    The back half of GRASP: identical constructions run local search
+    once (it is a pure function of the tour), the best solution is kept
+    in stream order, and the optional *warm_tour* is polished last —
+    replacing the winner only on strict improvement.  Work counters land
+    on ``solution.stats``.
     """
     metrics = MetricsRegistry()
     for name in GRASP_STAT_NAMES:
@@ -138,52 +135,5 @@ def resolve_tape_nodes(instance: OrienteeringInstance,
                          minimum=instance.n_nodes)
 
 
-def solve_grasp(instance: OrienteeringInstance, *, n_restarts: int = 8,
-                rcl_size: int = 3, seed: SeedLike = None,
-                local_search: bool = True,
-                tape_nodes: Optional[int] = None,
-                warm_tour: Optional[np.ndarray] = None
-                ) -> OrienteeringSolution:
-    """Solve via GRASP.
-
-    Parameters
-    ----------
-    instance:
-        The orienteering instance.
-    n_restarts:
-        Total construction attempts (>= 1).  Restart 0 is deterministic
-        greedy; restarts 1.. are randomised.
-    rcl_size:
-        Restricted-candidate-list size for the randomised constructions.
-    seed:
-        RNG seed for reproducibility.
-    local_search:
-        Apply the add/drop/replace/2-opt polish after each construction.
-    tape_nodes:
-        Node count the RNG tape is sized for (default: the instance's
-        own).  Pass the *original* pre-reduction count so restarts on a
-        reduced instance replay the exact same tape as unreduced runs.
-    warm_tour:
-        Optional extra starting tour (e.g. a coarser δ-grid's projected
-        solution) polished *after* the restarts; it replaces the restart
-        winner only on strict improvement, so a non-improving warm start
-        leaves the result bitwise unchanged.
-    """
-    n_restarts = check_integer(n_restarts, "n_restarts", minimum=1)
-    check_integer(rcl_size, "rcl_size", minimum=1)
-    tape = draw_rng_tape(as_rng(seed), n_restarts,
-                         resolve_tape_nodes(instance, tape_nodes))
-
-    def constructions() -> Iterable[np.ndarray]:
-        yield solve_greedy(instance).tour
-        for restart in range(1, n_restarts):
-            yield randomized_construct(instance, rcl_size=rcl_size,
-                                       tape=tape[restart - 1])
-
-    return polish_constructions(instance, constructions(),
-                                local_search=local_search,
-                                warm_tour=warm_tour)
-
-
-__all__ = ["solve_grasp", "polish_constructions", "better_solution",
+__all__ = ["polish_constructions", "better_solution",
            "resolve_tape_nodes", "warm_tour_from_nodes", "GRASP_STAT_NAMES"]

@@ -2,20 +2,17 @@
 
 Repeatedly inserts the node with the best award-per-marginal-cost ratio at
 its cheapest tour position, subject to the budget and conflict groups.
-This is both a fast standalone solver and the construction step the GRASP
-wrapper randomises.  The per-step work is fully vectorised
-(:mod:`repro.orienteering._vector`).
+This is both a fast standalone solver and the construction GRASP's
+deterministic restart 0 replays (:mod:`repro.orienteering.fast`).  The
+per-step work is fully vectorised (:mod:`repro.orienteering._vector`).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from repro.orienteering._vector import greedy_fill
 from repro.orienteering.problem import OrienteeringInstance, OrienteeringSolution, make_solution
-from repro.utils.rng import SeedLike, as_rng
 
 
 def solve_greedy(instance: OrienteeringInstance) -> OrienteeringSolution:
@@ -25,21 +22,4 @@ def solve_greedy(instance: OrienteeringInstance) -> OrienteeringSolution:
     return make_solution(instance, tour, "greedy")
 
 
-def randomized_construct(instance: OrienteeringInstance,
-                         seed: SeedLike = None,
-                         rcl_size: int = 3, *,
-                         tape: Optional[np.ndarray] = None) -> np.ndarray:
-    """One randomised greedy construction (used by GRASP).
-
-    Pass *tape* (one row of :func:`repro.orienteering._vector.draw_rng_tape`)
-    for a replayable construction; otherwise a tape is drawn from *seed*.
-    """
-    start = np.array([instance.depot], dtype=int)
-    if tape is not None:
-        return greedy_fill(instance, start,
-                           tape=np.asarray(tape, dtype=float),
-                           rcl_size=rcl_size)
-    return greedy_fill(instance, start, rng=as_rng(seed), rcl_size=rcl_size)
-
-
-__all__ = ["solve_greedy", "randomized_construct"]
+__all__ = ["solve_greedy"]

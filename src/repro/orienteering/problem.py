@@ -23,22 +23,6 @@ from repro.utils.errors import InvalidParameterError
 from repro.utils.validation import check_non_negative
 
 
-def transpose_copy(matrix: np.ndarray, block: int = 512) -> np.ndarray:
-    """C-contiguous transpose copy, tiled to stay cache/TLB-friendly.
-
-    ``matrix.T.copy()`` walks one operand with a full-row stride, which
-    on paper-scale cost matrices (hundreds of MB) turns every element
-    into a cache+TLB miss; tiling keeps both operands inside a few pages
-    per block.  The result is element-for-element identical either way.
-    """
-    n, m = matrix.shape
-    out = np.empty((m, n), dtype=matrix.dtype)
-    for i in range(0, n, block):
-        for j in range(0, m, block):
-            out[j:j + block, i:i + block] = matrix[i:i + block, j:j + block].T
-    return out
-
-
 @dataclass
 class OrienteeringInstance:
     """A budget-constrained award-collection tour problem.
@@ -48,7 +32,11 @@ class OrienteeringInstance:
     costs:
         Symmetric non-negative ``(n, n)`` edge-cost matrix.  For Algorithm 1
         these are the paper's ``w2`` energy weights, so "tour cost" is
-        exactly "tour energy".
+        exactly "tour energy".  After construction it is *exactly*
+        symmetric: a matrix symmetric only within tolerance
+        (``allclose``, ``atol=1e-9``) has its upper triangle mirrored
+        into a copy, so the solvers may gather row ``v`` wherever they
+        need column ``v``.
     awards:
         Length-``n`` non-negative node awards (``p(s_j)``; MB for Alg. 1).
     budget:
@@ -83,6 +71,11 @@ class OrienteeringInstance:
             raise InvalidParameterError("costs must be finite and >= 0")
         if not np.allclose(self.costs, self.costs.T, atol=1e-9):
             raise InvalidParameterError("costs must be symmetric")
+        if not np.array_equal(self.costs, self.costs.T):
+            lower = np.tril_indices(n, -1)
+            costs = self.costs.copy()
+            costs[lower] = costs.T[lower]
+            self.costs = costs
         self.awards = np.asarray(self.awards, dtype=float)
         if self.awards.shape != (n,):
             raise InvalidParameterError(
@@ -141,35 +134,6 @@ class OrienteeringInstance:
     def n_nodes(self) -> int:
         """Number of nodes including the depot."""
         return self.costs.shape[0]
-
-    @property
-    def costs_t(self) -> np.ndarray:
-        """C-contiguous transpose of ``costs``, built lazily and cached.
-
-        ``costs_t[i, j]`` *is* ``costs[j, i]`` — a pure relabeling, no
-        arithmetic — so kernels may replace a strided column gather
-        ``costs[:, idx]`` with the contiguous row gather ``costs_t[idx]``
-        without changing a single output bit, whether or not the matrix
-        is exactly symmetric.
-        """
-        ct = getattr(self, "_costs_t", None)
-        if ct is None:
-            ct = transpose_copy(self.costs)
-            self._costs_t = ct
-        return ct
-
-    def attach_costs_t(self, costs_t: np.ndarray) -> None:
-        """Install a precomputed transpose for :attr:`costs_t`.
-
-        Lets builders that already hold a cached transpose of the same
-        cost matrix (e.g. the auxiliary graph shared across a capacity
-        sweep's cells) share it instead of re-transposing per instance.
-        """
-        if costs_t.shape != self.costs.shape:
-            raise InvalidParameterError(
-                f"costs_t shape {costs_t.shape} does not match costs "
-                f"shape {self.costs.shape}")
-        self._costs_t = costs_t
 
     @property
     def conflict_lists(self) -> Optional[List[np.ndarray]]:
@@ -276,10 +240,10 @@ def trusted_instance(costs: np.ndarray, awards: np.ndarray, budget: float, *,
     :class:`OrienteeringInstance.__post_init__` re-checks symmetry,
     finiteness, and conflict-list consistency on every construction —
     dominant when the inputs are the already-validated outputs of the
-    repo's own builders (``build_auxiliary_graph`` costs are symmetric by
-    construction; the artifact cache's conflict lists are unique, sorted,
-    and symmetric).  This constructor trusts the caller: pass it nothing
-    but artifacts produced by those builders.
+    repo's own builders (``build_auxiliary_graph`` costs are exactly
+    symmetric by construction; the artifact cache's conflict lists are
+    unique, sorted, and symmetric).  This constructor trusts the caller:
+    pass it nothing but artifacts produced by those builders.
     """
     inst = object.__new__(OrienteeringInstance)
     inst.costs = np.asarray(costs, dtype=float)
@@ -298,4 +262,4 @@ def trusted_instance(costs: np.ndarray, awards: np.ndarray, budget: float, *,
 
 
 __all__ = ["OrienteeringInstance", "OrienteeringSolution", "make_solution",
-           "transpose_copy", "trusted_instance"]
+           "trusted_instance"]

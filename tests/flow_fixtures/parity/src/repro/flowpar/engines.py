@@ -9,10 +9,7 @@ rule must report against the family contract
 
 from __future__ import annotations
 
-__all__ = ["ENGINES", "AKernel", "BKernel", "CKernel"]
-
-#: Engine names of this fixture family.
-ENGINES = ("afix", "bfix", "cfix")
+__all__ = ["AKernel", "BKernel", "CKernel"]
 
 
 class AKernel:

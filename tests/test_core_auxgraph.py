@@ -26,8 +26,10 @@ class TestStructure:
         assert graph.n_nodes == graph.sites.n_sites + 1
 
     def test_costs_symmetric_zero_diagonal(self, graph):
-        np.testing.assert_allclose(graph.costs, graph.costs.T)
-        np.testing.assert_allclose(np.diag(graph.costs), 0.0)
+        # Exactly, not within tolerance: the orienteering kernels gather
+        # rows of ``costs`` wherever they need columns.
+        np.testing.assert_array_equal(graph.costs, graph.costs.T)
+        np.testing.assert_array_equal(np.diag(graph.costs), 0.0)
 
     def test_w1_is_hover_time_times_power(self, graph, energy):
         np.testing.assert_allclose(

@@ -2,10 +2,11 @@
 
 Three layers of guarantees:
 
-1. **End-to-end bitwise equivalence** — ``engine="kernel"`` and
-   ``engine="dense"`` produce *identical* tours (points, sojourns,
-   collected volumes) for Algorithms 2/3 and the benchmark baseline on
-   seeded instances across δ ∈ {10, 20, 40} and K ∈ {1, 2, 4}.
+1. **End-to-end bitwise equivalence** — the planners on the incremental
+   kernel and on the dense full-recompute oracle (``tests/oracles.py``)
+   produce *identical* tours (points, sojourns, collected volumes) for
+   Algorithms 2/3 and the benchmark baseline on seeded instances across
+   δ ∈ {10, 20, 40} and K ∈ {1, 2, 4}.
 2. **Component oracles** — the dirty-set residual cache, the partial-award
    table, the incremental cheapest-insertion cache, and the prune cache
    each match a brute-force recomputation after arbitrary mutation
@@ -19,11 +20,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.algorithm2 import _insertion_deltas, plan_algorithm2
+from repro.core.algorithm2 import plan_algorithm2
 from repro.core.algorithm3 import plan_algorithm3
+from repro.core.batch import BatchPlannerKernel
 from repro.core.benchmark_alg import plan_benchmark
 from repro.core.hovering import HoveringSites, build_hovering_sites
-from repro.core.kernel import ENGINES, PlannerKernel, PruneCache, check_engine
+from repro.core.kernel import PlannerKernel, PruneCache
 from repro.energy.model import EnergyModel
 from repro.geometry.coverage import SparseCoverage
 from repro.geometry.distance import pairwise_distances
@@ -32,6 +34,9 @@ from repro.network.generator import NetworkGenerator
 from repro.network.sensor_network import SensorNetwork
 from repro.radio.link import RadioModel
 from repro.utils.errors import InvalidParameterError
+from tests.oracles import (ALG2_PATHS, ALG3_PATHS, PATHS, DensePlannerKernel,
+                           insertion_deltas_full, plan_algorithm2_dense,
+                           plan_algorithm3_dense, plan_benchmark_dense)
 
 RADIO = RadioModel(bandwidth=150.0, transmission_range=50.0, altitude=0.0)
 ENERGY = EnergyModel(capacity=2e4, hover_power=150.0,
@@ -50,16 +55,6 @@ def _assert_same_tour(a, b) -> None:
     np.testing.assert_array_equal(a.collected, b.collected)
     assert a.meta["n_visited"] == b.meta["n_visited"]
     assert a.meta["iterations"] == b.meta["iterations"]
-
-
-class TestCheckEngine:
-    def test_accepts_known_engines(self):
-        for eng in ENGINES:
-            assert check_engine(eng) == eng
-
-    def test_rejects_unknown(self):
-        with pytest.raises(InvalidParameterError):
-            check_engine("turbo")
 
 
 class TestSparseCoverage:
@@ -113,7 +108,7 @@ class TestDirtySetResiduals:
     def _kernels(self, seed=0):
         net = _net(seed)
         sites = build_hovering_sites(net, RADIO, 25.0)
-        return (sites, PlannerKernel(sites, ENERGY, RADIO, engine="kernel"))
+        return (sites, PlannerKernel(sites, ENERGY, RADIO))
 
     def test_initial_scores_match_oracle(self):
         sites, kern = self._kernels()
@@ -160,10 +155,8 @@ class TestDirtySetResiduals:
     def test_partial_scores_match_dense_engine(self, K):
         net = _net(5)
         sites = build_hovering_sites(net, RADIO, 25.0)
-        a = PlannerKernel(sites, ENERGY, RADIO, engine="kernel",
-                          volume_tol=1e-9)
-        b = PlannerKernel(sites, ENERGY, RADIO, engine="dense",
-                          volume_tol=1e-9)
+        a = PlannerKernel(sites, ENERGY, RADIO, volume_tol=1e-9)
+        b = DensePlannerKernel(sites, ENERGY, RADIO, volume_tol=1e-9)
         fractions = np.arange(1, K + 1) / K
         rng = np.random.default_rng(5)
         for _ in range(8):
@@ -180,25 +173,25 @@ class TestDirtySetResiduals:
 
 
 class TestInsertionCache:
-    """Incremental delta cache vs the full-scan `_insertion_deltas` oracle."""
+    """Incremental delta cache vs the full-scan `insertion_deltas_full`."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_insert_sequence_matches_full_scan(self, seed):
         net = _net(seed, n=25)
         sites = build_hovering_sites(net, RADIO, 30.0)
-        kern = PlannerKernel(sites, ENERGY, RADIO, engine="kernel")
+        kern = PlannerKernel(sites, ENERGY, RADIO)
         rng = np.random.default_rng(seed + 50)
         candidates = rng.permutation(sites.n_sites)[:min(10, sites.n_sites)]
         for site in candidates:
             deltas, positions = kern.insertion_state()
-            oracle_d, oracle_p = _insertion_deltas(
+            oracle_d, oracle_p = insertion_deltas_full(
                 sites.points, kern.points_all[np.array(kern.tour)])
             np.testing.assert_array_equal(deltas, oracle_d)
             np.testing.assert_array_equal(positions, oracle_p)
             kern.insert(int(site))
         # and once more after the final insertion
         deltas, positions = kern.insertion_state()
-        oracle_d, oracle_p = _insertion_deltas(
+        oracle_d, oracle_p = insertion_deltas_full(
             sites.points, kern.points_all[np.array(kern.tour)])
         np.testing.assert_array_equal(deltas, oracle_d)
         np.testing.assert_array_equal(positions, oracle_p)
@@ -206,7 +199,7 @@ class TestInsertionCache:
     def test_insert_keeps_tour_consistent(self):
         net = _net(9, n=15)
         sites = build_hovering_sites(net, RADIO, 40.0)
-        kern = PlannerKernel(sites, ENERGY, RADIO, engine="kernel")
+        kern = PlannerKernel(sites, ENERGY, RADIO)
         for site in range(min(5, sites.n_sites)):
             kern.insertion_state()
             pos = kern.insert(site)
@@ -218,7 +211,7 @@ class TestInsertionCache:
     def test_set_tour_flushes_cache(self):
         net = _net(2, n=15)
         sites = build_hovering_sites(net, RADIO, 40.0)
-        kern = PlannerKernel(sites, ENERGY, RADIO, engine="kernel")
+        kern = PlannerKernel(sites, ENERGY, RADIO)
         kern.insertion_state()
         for site in range(min(4, sites.n_sites)):
             kern.insert(site)
@@ -226,7 +219,7 @@ class TestInsertionCache:
         kern.set_tour(reordered)
         assert kern.counters["tour_flushes"] == 1
         deltas, positions = kern.insertion_state()
-        oracle_d, oracle_p = _insertion_deltas(
+        oracle_d, oracle_p = insertion_deltas_full(
             sites.points, kern.points_all[np.array(kern.tour)])
         np.testing.assert_array_equal(deltas, oracle_d)
         np.testing.assert_array_equal(positions, oracle_p)
@@ -281,61 +274,55 @@ class TestPruneCache:
 
 
 class TestEngineEquivalenceAlg2:
-    """Alg. 2 kernel vs dense: identical on ≥10 seeded instances."""
+    """Alg. 2 kernel vs the dense oracle: identical on ≥10 instances."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("delta", [10.0, 20.0, 40.0])
     def test_insertion_mode(self, seed, delta):
         net = _net(seed)
-        a = plan_algorithm2(net, ENERGY, RADIO, delta, engine="kernel")
-        b = plan_algorithm2(net, ENERGY, RADIO, delta, engine="dense")
+        a = plan_algorithm2(net, ENERGY, RADIO, delta)
+        b = plan_algorithm2_dense(net, ENERGY, RADIO, delta)
         _assert_same_tour(a, b)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_christofides_mode(self, seed):
         net = _net(seed, n=12)
         a = plan_algorithm2(net, ENERGY, RADIO, 40.0,
-                            tsp_mode="christofides", engine="kernel")
-        b = plan_algorithm2(net, ENERGY, RADIO, 40.0,
-                            tsp_mode="christofides", engine="dense")
+                            tsp_mode="christofides")
+        b = plan_algorithm2_dense(net, ENERGY, RADIO, 40.0,
+                                  tsp_mode="christofides")
         _assert_same_tour(a, b)
 
     @pytest.mark.parametrize("scoring", ["award", "proximity", "hover_ratio"])
     def test_scoring_variants(self, scoring):
         net = _net(4)
-        a = plan_algorithm2(net, ENERGY, RADIO, 20.0, scoring=scoring,
-                            engine="kernel")
-        b = plan_algorithm2(net, ENERGY, RADIO, 20.0, scoring=scoring,
-                            engine="dense")
+        a = plan_algorithm2(net, ENERGY, RADIO, 20.0, scoring=scoring)
+        b = plan_algorithm2_dense(net, ENERGY, RADIO, 20.0, scoring=scoring)
         _assert_same_tour(a, b)
 
     def test_no_polish(self):
         net = _net(6)
-        a = plan_algorithm2(net, ENERGY, RADIO, 20.0, polish=False,
-                            engine="kernel")
-        b = plan_algorithm2(net, ENERGY, RADIO, 20.0, polish=False,
-                            engine="dense")
+        a = plan_algorithm2(net, ENERGY, RADIO, 20.0, polish=False)
+        b = plan_algorithm2_dense(net, ENERGY, RADIO, 20.0, polish=False)
         _assert_same_tour(a, b)
 
 
 class TestEngineEquivalenceAlg3:
-    """Alg. 3 kernel vs dense across δ and K."""
+    """Alg. 3 kernel vs the dense oracle across δ and K."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("delta", [10.0, 20.0, 40.0])
     @pytest.mark.parametrize("K", [1, 2, 4])
     def test_partial_collection(self, seed, delta, K):
         net = _net(seed)
-        a = plan_algorithm3(net, ENERGY, RADIO, delta, K=K, engine="kernel")
-        b = plan_algorithm3(net, ENERGY, RADIO, delta, K=K, engine="dense")
+        a = plan_algorithm3(net, ENERGY, RADIO, delta, K=K)
+        b = plan_algorithm3_dense(net, ENERGY, RADIO, delta, K=K)
         _assert_same_tour(a, b)
 
     def test_no_polish(self):
         net = _net(3)
-        a = plan_algorithm3(net, ENERGY, RADIO, 20.0, K=2, polish=False,
-                            engine="kernel")
-        b = plan_algorithm3(net, ENERGY, RADIO, 20.0, K=2, polish=False,
-                            engine="dense")
+        a = plan_algorithm3(net, ENERGY, RADIO, 20.0, K=2, polish=False)
+        b = plan_algorithm3_dense(net, ENERGY, RADIO, 20.0, K=2, polish=False)
         _assert_same_tour(a, b)
 
 
@@ -343,8 +330,8 @@ class TestEngineEquivalenceBenchmark:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_prune_loop(self, seed):
         net = _net(seed)
-        a = plan_benchmark(net, ENERGY, RADIO, engine="kernel")
-        b = plan_benchmark(net, ENERGY, RADIO, engine="dense")
+        a = plan_benchmark(net, ENERGY, RADIO)
+        b = plan_benchmark_dense(net, ENERGY, RADIO)
         np.testing.assert_array_equal(a.points, b.points)
         np.testing.assert_array_equal(a.sojourns, b.sojourns)
         np.testing.assert_array_equal(a.collected, b.collected)
@@ -375,8 +362,8 @@ class TestPerfCounters:
 
     def test_kernel_beats_dense_on_rescoring(self):
         net = _net(1)
-        a = plan_algorithm2(net, ENERGY, RADIO, 15.0, engine="kernel")
-        b = plan_algorithm2(net, ENERGY, RADIO, 15.0, engine="dense")
+        a = plan_algorithm2(net, ENERGY, RADIO, 15.0)
+        b = plan_algorithm2_dense(net, ENERGY, RADIO, 15.0)
         assert (a.meta["perf"]["sites_rescored"]
                 < b.meta["perf"]["sites_rescored"])
 
@@ -407,31 +394,38 @@ class TestEdgeCases:
         np.testing.assert_array_equal(sites.hover_times,
                                       np.zeros(sites.n_sites))
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", PATHS)
     def test_planners_on_empty_network(self, engine):
         net = self._empty_net()
-        t2 = plan_algorithm2(net, ENERGY, RADIO, 25.0, engine=engine)
+        t2 = ALG2_PATHS[engine](net, ENERGY, RADIO, 25.0)
         assert t2.meta["n_visited"] == 0
-        t3 = plan_algorithm3(net, ENERGY, RADIO, 25.0, K=2, engine=engine)
+        t3 = ALG3_PATHS[engine](net, ENERGY, RADIO, 25.0, K=2)
         assert t3.meta["n_visited"] == 0
-        tb = plan_benchmark(net, ENERGY, RADIO, engine=engine)
+        plan_b = plan_benchmark_dense if engine == "dense" else plan_benchmark
+        tb = plan_b(net, ENERGY, RADIO)
         assert tb.meta["n_visited"] == 0
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", PATHS)
     def test_kernel_zero_sensor_sites(self, engine):
         """A kernel over (m, 0) coverage scores everything as zero."""
         net = self._empty_net()
         sites = build_hovering_sites(net, RADIO, 50.0, prune=False)
-        kern = PlannerKernel(sites, ENERGY, RADIO, engine=engine)
-        p_res, t_res = kern.residual_scores()
+        if engine == "batch":
+            p_res, t_res = BatchPlannerKernel(
+                sites, [ENERGY], RADIO).residual_scores()
+            p_res, t_res = p_res[0], t_res[0]
+        else:
+            kernel = DensePlannerKernel if engine == "dense" else PlannerKernel
+            p_res, t_res = kernel(sites, ENERGY, RADIO).residual_scores()
         np.testing.assert_array_equal(p_res, np.zeros(sites.n_sites))
         np.testing.assert_array_equal(t_res, np.zeros(sites.n_sites))
 
     def test_rejects_bad_engine(self):
+        """The planners have one code path; ``engine=`` is no option."""
         net = _net(0, n=10)
-        with pytest.raises(InvalidParameterError):
-            plan_algorithm2(net, ENERGY, RADIO, 25.0, engine="gpu")
-        with pytest.raises(InvalidParameterError):
-            plan_algorithm3(net, ENERGY, RADIO, 25.0, K=2, engine="gpu")
-        with pytest.raises(InvalidParameterError):
-            plan_benchmark(net, ENERGY, RADIO, engine="gpu")
+        with pytest.raises(TypeError):
+            plan_algorithm2(net, ENERGY, RADIO, 25.0, engine="dense")
+        with pytest.raises(TypeError):
+            plan_algorithm3(net, ENERGY, RADIO, 25.0, K=2, engine="dense")
+        with pytest.raises(TypeError):
+            plan_benchmark(net, ENERGY, RADIO, engine="dense")

@@ -58,6 +58,18 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(k_values=(0,))
 
+    def test_energy_model_zero_capacity_is_not_the_default(self):
+        # A capacity-0 sweep point must fail loudly, not silently plan
+        # with the default battery.
+        with pytest.raises(InvalidParameterError, match="capacity"):
+            reduced_settings().energy_model(capacity=0.0)
+
+    @pytest.mark.parametrize("field", ["capacity_sweep", "delta_sweep"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_sweep_entry(self, field, bad):
+        with pytest.raises(InvalidParameterError, match=field):
+            ExperimentConfig(**{field: (10.0, bad)})
+
 
 class TestInstances:
     def test_count(self, tiny_config):

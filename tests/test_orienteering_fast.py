@@ -1,31 +1,33 @@
-"""Vectorized GRASP engine — bitwise equivalence and warm-start contracts.
+"""Stacked GRASP — bitwise equivalence and warm-start contracts.
 
-The whole point of ``engine="fast"`` is that it is *not* a different
-solver: every restart of the stacked construction replays the scalar
-path's choices exactly (same RNG tape, same sorted-RCL picks), so tours,
-awards, costs, and the restart stats must match bitwise.  Hypothesis
-hunts the corners; the plan-level tests pin the Algorithm 1 dispatch,
-the reduction-aware tape sizing, and the strict-improvement warm-start
-acceptance the δ-continuation mode relies on.
+The stacked constructions are *not* a different solver: every restart
+replays the choices of growing it alone (same RNG tape, same sorted-RCL
+picks), so tours, awards, costs, and the restart stats must match the
+one-restart-at-a-time oracle (``tests/oracles.py``) bitwise.  Hypothesis
+hunts the corners; the plan-level tests pin Algorithm 1 against the
+oracle, the reduction-aware tape sizing, and the strict-improvement
+warm-start acceptance the δ-continuation mode relies on.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.algorithm1 import ENGINES, check_engine, plan_algorithm1
+from repro.core.algorithm1 import plan_algorithm1
 from repro.energy.model import EnergyModel
 from repro.geometry.distance import pairwise_distances
 from repro.geometry.region import Region
 from repro.network.sensor_network import SensorNetwork
+from repro.orienteering._vector import draw_rng_tape
 from repro.orienteering.fast import solve_grasp_fast, stacked_constructions
-from repro.orienteering.grasp import (GRASP_STAT_NAMES, solve_grasp,
-                                      warm_tour_from_nodes)
-from repro.orienteering.greedy import randomized_construct, solve_greedy
+from repro.orienteering.grasp import GRASP_STAT_NAMES, warm_tour_from_nodes
+from repro.orienteering.greedy import solve_greedy
 from repro.orienteering.problem import OrienteeringInstance
 from repro.orienteering.solver import solve_orienteering
 from repro.radio.link import RadioModel
 from repro.utils.errors import InvalidParameterError
+from tests.oracles import (ALG1_PATHS, GRASP_PATHS, scalar_construct,
+                           solve_grasp_scalar)
 
 RADIO = RadioModel(bandwidth=150.0, transmission_range=60.0, altitude=0.0)
 
@@ -69,8 +71,8 @@ class TestBitwiseEquivalence:
     def test_fast_matches_scalar_bitwise(self, seed, n, n_restarts,
                                          rcl_size, grasp_seed, conflicts):
         inst = make_instance(seed, n=n, conflicts=conflicts)
-        scalar = solve_grasp(inst, n_restarts=n_restarts,
-                             rcl_size=rcl_size, seed=grasp_seed)
+        scalar = solve_grasp_scalar(inst, n_restarts=n_restarts,
+                                    rcl_size=rcl_size, seed=grasp_seed)
         fast = solve_grasp_fast(inst, n_restarts=n_restarts,
                                 rcl_size=rcl_size, seed=grasp_seed)
         np.testing.assert_array_equal(scalar.tour, fast.tour)
@@ -87,24 +89,20 @@ class TestBitwiseEquivalence:
         """Restart r of the stack equals the r-th scalar construction."""
         inst = make_instance(seed, n=n)
         rng = np.random.default_rng(0)
-        from repro.orienteering._vector import draw_rng_tape
         tape = draw_rng_tape(rng, n_restarts, inst.n_nodes)
         stacked = stacked_constructions(inst, n_restarts, 3, tape)
         assert len(stacked) == n_restarts
         np.testing.assert_array_equal(stacked[0], solve_greedy(inst).tour)
         for r in range(1, n_restarts):
-            ref = randomized_construct(inst, rcl_size=3, tape=tape[r - 1])
+            ref = scalar_construct(inst, tape[r - 1], rcl_size=3)
             np.testing.assert_array_equal(stacked[r], ref)
 
     def test_solver_facade_dispatch(self):
         inst = make_instance(3, n=10)
-        scalar = solve_orienteering(inst, method="grasp", seed=1,
-                                    engine="scalar")
-        fast = solve_orienteering(inst, method="grasp", seed=1,
-                                  engine="fast")
-        np.testing.assert_array_equal(scalar.tour, fast.tour)
-        with pytest.raises(InvalidParameterError):
-            solve_orienteering(inst, method="grasp", engine="nope")
+        facade = solve_orienteering(inst, method="grasp", seed=1)
+        fast = solve_grasp_fast(inst, seed=1)
+        np.testing.assert_array_equal(facade.tour, fast.tour)
+        assert facade.stats == fast.stats
 
 
 class TestAlgorithm1Engines:
@@ -113,46 +111,36 @@ class TestAlgorithm1Engines:
     def test_engines_agree_bitwise(self, seed, reduction):
         net = make_network(seed)
         tours = {
-            engine: plan_algorithm1(net, ENERGY, RADIO, 30.0,
-                                    n_restarts=4, seed=seed, engine=engine,
-                                    site_reduction=reduction)
-            for engine in ENGINES}
+            name: plan(net, ENERGY, RADIO, 30.0, n_restarts=4, seed=seed,
+                       site_reduction=reduction)
+            for name, plan in ALG1_PATHS.items()}
         a, b = tours["scalar"], tours["fast"]
         np.testing.assert_array_equal(a.points, b.points)
         np.testing.assert_array_equal(a.sojourns, b.sojourns)
         np.testing.assert_array_equal(a.collected, b.collected)
-        assert a.meta["perf"]["engine"] == "scalar"
+        assert a.meta["perf"]["grasp"] == b.meta["perf"]["grasp"]
         assert b.meta["perf"]["engine"] == "fast"
 
     def test_safe_reduction_invariant_per_engine(self):
         """Reduction-aware tape: safe renumbering never changes the tour."""
         net = make_network(11)
-        for engine in ENGINES:
-            cold = plan_algorithm1(net, ENERGY, RADIO, 30.0, n_restarts=5,
-                                   seed=2, engine=engine)
-            red = plan_algorithm1(net, ENERGY, RADIO, 30.0, n_restarts=5,
-                                  seed=2, engine=engine,
-                                  site_reduction="safe")
+        for plan in ALG1_PATHS.values():
+            cold = plan(net, ENERGY, RADIO, 30.0, n_restarts=5, seed=2)
+            red = plan(net, ENERGY, RADIO, 30.0, n_restarts=5, seed=2,
+                       site_reduction="safe")
             np.testing.assert_array_equal(cold.points, red.points)
             assert cold.collected_volume == red.collected_volume
 
     def test_meta_perf_grasp_stats_contract(self):
         net = make_network(5)
         tour = plan_algorithm1(net, ENERGY, RADIO, 30.0, n_restarts=3,
-                               seed=0, engine="fast")
+                               seed=0)
         stats = tour.meta["perf"]["grasp"]
         assert set(stats) == set(GRASP_STAT_NAMES)
         assert list(stats) == sorted(stats)      # sorted-key emission
         assert stats["restarts"] == 3
         assert stats["constructions"] >= 1
         assert all(isinstance(v, int) and v >= 0 for v in stats.values())
-
-    def test_check_engine_rejects_unknown(self):
-        with pytest.raises(InvalidParameterError):
-            check_engine("vectorised")
-        net = make_network(1)
-        with pytest.raises(InvalidParameterError):
-            plan_algorithm1(net, ENERGY, RADIO, 30.0, engine="nope")
 
 
 class TestWarmStarts:
@@ -177,7 +165,7 @@ class TestWarmStarts:
         assert warm_tour_from_nodes(inst, np.empty(0, dtype=int)) is None
 
     @given(seed=st.integers(0, 3_000), n=st.integers(2, 12),
-           engine=st.sampled_from(ENGINES))
+           engine=st.sampled_from(sorted(GRASP_PATHS)))
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_non_improving_warm_tour_leaves_result_unchanged(self, seed, n,
@@ -186,7 +174,7 @@ class TestWarmStarts:
         start can never displace it, so the solution stays bitwise
         identical (only the warm-start counters move)."""
         inst = make_instance(seed, n=n)
-        solver = solve_grasp_fast if engine == "fast" else solve_grasp
+        solver = GRASP_PATHS[engine]
         cold = solver(inst, n_restarts=3, seed=0)
         warm = solver(inst, n_restarts=3, seed=0, warm_tour=cold.tour)
         np.testing.assert_array_equal(cold.tour, warm.tour)
@@ -197,12 +185,13 @@ class TestWarmStarts:
     def test_improving_warm_tour_wins(self):
         """A warm tour strictly better than every restart is kept."""
         inst = make_instance(42, n=12, budget=1e9)
-        best = solve_grasp(inst, n_restarts=6, seed=0)
+        best = solve_grasp_fast(inst, n_restarts=6, seed=0)
         # With an enormous budget the polish collects everything, so
         # force a weak baseline: single restart, no local search.
-        weak = solve_grasp(inst, n_restarts=1, seed=0, local_search=False)
+        weak = solve_grasp_fast(inst, n_restarts=1, seed=0,
+                                local_search=False)
         if best.award > weak.award:
-            warm = solve_grasp(inst, n_restarts=1, seed=0,
-                               local_search=False, warm_tour=best.tour)
+            warm = solve_grasp_fast(inst, n_restarts=1, seed=0,
+                                    local_search=False, warm_tour=best.tour)
             assert warm.award >= best.award
             assert warm.stats["warm_improved"] == 1

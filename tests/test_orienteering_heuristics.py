@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.geometry.distance import pairwise_distances
+from repro.orienteering._vector import draw_rng_tape
 from repro.orienteering.exact import solve_exact
-from repro.orienteering.grasp import solve_grasp
-from repro.orienteering.greedy import randomized_construct, solve_greedy
+from repro.orienteering.fast import solve_grasp_fast, stacked_constructions
+from repro.orienteering.greedy import solve_greedy
 from repro.orienteering.local_search import improve_solution
 from repro.orienteering.problem import OrienteeringInstance
 from repro.orienteering.solver import AUTO_EXACT_THRESHOLD, solve_orienteering
@@ -60,17 +61,24 @@ class TestGreedy:
         assert len(on) <= 1
 
 
+def randomized_constructions(inst, seed, n_restarts=4, rcl_size=3):
+    tape = draw_rng_tape(np.random.default_rng(seed), n_restarts,
+                         inst.n_nodes)
+    return stacked_constructions(inst, n_restarts, rcl_size, tape)
+
+
 class TestRandomizedConstruct:
     def test_feasible(self, rng):
         inst = make_instance(rng)
-        tour = randomized_construct(inst, seed=1, rcl_size=3)
-        assert inst.is_feasible(tour)
+        for tour in randomized_constructions(inst, seed=1):
+            assert inst.is_feasible(tour)
 
     def test_deterministic_given_seed(self, rng):
         inst = make_instance(rng)
-        a = randomized_construct(inst, seed=9, rcl_size=3)
-        b = randomized_construct(inst, seed=9, rcl_size=3)
-        np.testing.assert_array_equal(a, b)
+        a = randomized_constructions(inst, seed=9)
+        b = randomized_constructions(inst, seed=9)
+        for ta, tb in zip(a, b):
+            np.testing.assert_array_equal(ta, tb)
 
 
 class TestLocalSearch:
@@ -100,7 +108,7 @@ class TestGrasp:
     def test_at_least_as_good_as_greedy(self, seed):
         inst = make_instance(np.random.default_rng(seed))
         gr = solve_greedy(inst)
-        gp = solve_grasp(inst, seed=0, n_restarts=4)
+        gp = solve_grasp_fast(inst, seed=0, n_restarts=4)
         assert gp.award >= gr.award - 1e-9
         assert inst.is_feasible(gp.tour)
 
@@ -109,23 +117,23 @@ class TestGrasp:
         rng = np.random.default_rng(200 + seed)
         inst = make_instance(rng, n=9)
         ex = solve_exact(inst)
-        gp = solve_grasp(inst, seed=1, n_restarts=8)
+        gp = solve_grasp_fast(inst, seed=1, n_restarts=8)
         assert gp.award >= 0.9 * ex.award - 1e-9
 
     def test_deterministic_given_seed(self, rng):
         inst = make_instance(rng)
-        a = solve_grasp(inst, seed=5, n_restarts=4)
-        b = solve_grasp(inst, seed=5, n_restarts=4)
+        a = solve_grasp_fast(inst, seed=5, n_restarts=4)
+        b = solve_grasp_fast(inst, seed=5, n_restarts=4)
         np.testing.assert_array_equal(a.tour, b.tour)
 
     def test_restart_count_validated(self, rng):
         inst = make_instance(rng)
         with pytest.raises(InvalidParameterError):
-            solve_grasp(inst, n_restarts=0)
+            solve_grasp_fast(inst, n_restarts=0)
 
     def test_no_local_search_mode(self, rng):
         inst = make_instance(rng)
-        sol = solve_grasp(inst, seed=2, n_restarts=3, local_search=False)
+        sol = solve_grasp_fast(inst, seed=2, n_restarts=3, local_search=False)
         assert inst.is_feasible(sol.tour)
 
 

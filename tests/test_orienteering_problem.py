@@ -27,6 +27,19 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             OrienteeringInstance(costs=costs, awards=[0, 1], budget=10.0)
 
+    def test_near_symmetric_costs_become_exactly_symmetric(self, rng):
+        # The solvers gather rows in place of columns, so a matrix that
+        # is symmetric only within tolerance is mirrored from its upper
+        # triangle — into a copy, never the caller's array.
+        costs = pairwise_distances(rng.uniform(0, 100, (6, 2)))
+        costs[4, 1] += 1e-12
+        given = costs.copy()
+        inst = OrienteeringInstance(costs=costs, awards=np.ones(6),
+                                    budget=500.0)
+        np.testing.assert_array_equal(inst.costs, inst.costs.T)
+        np.testing.assert_array_equal(np.triu(inst.costs), np.triu(given))
+        np.testing.assert_array_equal(costs, given)
+
     def test_rejects_negative_awards(self, rng):
         costs = pairwise_distances(rng.uniform(0, 10, (3, 2)))
         with pytest.raises(InvalidParameterError):

@@ -80,12 +80,6 @@ class TestGreedyFill:
         tour = greedy_fill(inst, start)
         assert tour[0] == 0 and 5 in tour
 
-    def test_rcl_randomisation_feasible(self, rng):
-        inst = make_instance(rng, budget=300.0)
-        tour = greedy_fill(inst, np.array([0]),
-                           rng=np.random.default_rng(3), rcl_size=3)
-        assert inst.is_feasible(tour)
-
 
 class TestSwapPass:
     def test_never_decreases_award(self, rng):
