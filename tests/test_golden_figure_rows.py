@@ -2,7 +2,7 @@
 
 A tiny campaign (40 nodes, 2 instances, 2 capacities, 2 δ values) runs
 every figure under each site-reduction level, plus Fig. 4 with
-δ-continuation, and its planner outputs are compared *exactly* against
+δ-continuation and Fig. 5 with batch columns, and its planner outputs are compared *exactly* against
 ``tests/golden/figure_rows.json``.  Only the deterministic plan outputs
 are locked — volumes, instance counts, row identity — never times or
 ``perf`` counters, which describe how a code path did its work rather
@@ -61,6 +61,9 @@ def _cases() -> Dict[str, Callable[..., Any]]:
                 cfg, nets, site_reduction=level, validate=False))
     cases["fig4/continuation"] = (
         lambda cfg, nets: run_fig4(cfg, nets, delta_continuation=True,
+                                   validate=False))
+    cases["fig5/batch-columns"] = (
+        lambda cfg, nets: run_fig5(cfg, nets, batch_columns=True,
                                    validate=False))
     return cases
 
