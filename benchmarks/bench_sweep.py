@@ -8,7 +8,11 @@ Times the *same* miniature Fig. 3 campaign under three execution modes:
 
 self-checks that all three produce bitwise-identical deterministic rows
 (:meth:`SweepRow.deterministic_dict`), and writes a JSON report with host
-metadata.  Run from the repo root::
+metadata.  Two more campaigns run at jobs=1 and jobs=N with the same
+bitwise self-check, so every work-unit kind crosses the pool: a Fig. 5
+sweep with ``batch_columns=True`` (column units) and a two-δ Fig. 4
+sweep with ``delta_continuation=True`` (chain units).  Run from the repo
+root::
 
     PYTHONPATH=src python benchmarks/bench_sweep.py --out BENCH_PR5.json
 
@@ -31,6 +35,8 @@ from typing import Any, Dict
 from repro.experiments.artifacts import ArtifactCache
 from repro.experiments.config import reduced_settings
 from repro.experiments.fig3 import run_fig3
+from repro.experiments.fig4 import run_fig4
+from repro.experiments.fig5 import run_fig5
 
 
 def _bench_config(nodes: int, instances: int, sweep_points: int):
@@ -64,6 +70,43 @@ def _run_mode(config, *, jobs: int, cache: bool,
         "cache_metrics": metrics,
         "rows": [row.deterministic_dict() for row in result.rows],
     }
+
+
+def _unit_campaigns(config, jobs: int) -> Dict[str, Dict[str, Any]]:
+    """Column and chain campaigns at jobs=1 and jobs=N, bitwise-checked.
+
+    Returns per-campaign timings and unit counts; raises SystemExit(1)
+    when the two ``jobs`` values disagree on a deterministic row or the
+    campaign planned no unit of its kind.
+    """
+    campaigns = {
+        "fig5-batch-columns": (
+            lambda j: run_fig5(config, jobs=j, batch_columns=True),
+            "batch_columns"),
+        "fig4-continuation": (
+            lambda j: run_fig4(config.scaled(delta_sweep=(15.0, 25.0)),
+                               jobs=j, delta_continuation=True),
+            "continuation_chains"),
+    }
+    report: Dict[str, Dict[str, Any]] = {}
+    for name, (run, unit_key) in campaigns.items():
+        walls, rows, units = {}, {}, {}
+        for j in (1, jobs):
+            print(f"running {name} (jobs={j})...", file=sys.stderr)
+            start = time.perf_counter()
+            result = run(j)
+            walls[j] = time.perf_counter() - start
+            rows[j] = [row.deterministic_dict() for row in result.rows]
+            units[j] = result.meta[unit_key]
+            print(f"  {walls[j]:.2f} s", file=sys.stderr)
+        if rows[1] != rows[jobs] or units[1] != units[jobs] or not units[1]:
+            print(f"FATAL: {name} jobs=1 and jobs={jobs} disagree "
+                  f"(or planned no {unit_key} units)", file=sys.stderr)
+            raise SystemExit(1)
+        report[name] = {"wall_s": {f"jobs{j}": round(w, 4)
+                                   for j, w in walls.items()},
+                        unit_key: units[1]}
+    return report
 
 
 def main(argv=None) -> int:
@@ -104,6 +147,7 @@ def main(argv=None) -> int:
             print(f"FATAL: {name} rows differ from seq-nocache",
                   file=sys.stderr)
             return 1
+    unit_campaigns = _unit_campaigns(config, args.jobs)
 
     report = {
         "benchmark": "bench_sweep",
@@ -132,6 +176,7 @@ def main(argv=None) -> int:
                 results["seq-cache"]["wall_s"]
                 / results["par-cache"]["wall_s"], 3),
         },
+        "unit_campaigns": unit_campaigns,
         "deterministic_rows_identical": True,
     }
     text = json.dumps(report, indent=2)

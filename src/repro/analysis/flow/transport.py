@@ -11,10 +11,11 @@ actually exercises that path.
 This rule finds the transport surface from the call graph and proves
 what it can statically:
 
-* **submission sites** — ``pool.submit(worker, *args)`` and
-  ``Executor(initializer=..., initargs=(...))``: the extra ``submit``
-  arguments and every ``initargs`` element are classified with the
-  JSON-safety lattice (:mod:`repro.analysis.flow.jsonsafe`);
+* **submission sites** — ``pool.submit(worker, *args)``,
+  ``pool.map(worker, *iterables)`` and
+  ``Executor(initializer=..., initargs=(...))``: the extra ``submit``/
+  ``map`` arguments and every ``initargs`` element are classified with
+  the JSON-safety lattice (:mod:`repro.analysis.flow.jsonsafe`);
 * **worker entries** — the functions named at those sites: every
   ``return`` expression is classified (that value is the boundary
   crossing back);
@@ -72,8 +73,8 @@ def _discover(graph: CallGraph) -> _Surface:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if isinstance(func, ast.Attribute) and func.attr == "submit" \
-                    and node.args:
+            if isinstance(func, ast.Attribute) \
+                    and func.attr in ("submit", "map") and node.args:
                 entry = _entry_function(resolver, node.args[0])
                 if entry is not None:
                     surface.entries[entry.qname] = entry

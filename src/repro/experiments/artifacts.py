@@ -11,9 +11,9 @@ and the energy *rates* — never on the swept battery capacity:
 
 :class:`ArtifactCache` memoizes exactly those artifacts so a capacity
 sweep builds each instance's geometry once instead of once per cell.
-The cache is *per process*: the sequential runner keeps one for the
-whole sweep, and every worker of the parallel executor keeps its own
-(instances are not shared across processes).  Cached artifacts are the
+The cache is *per process*: an in-process sweep keeps one for the
+whole sweep, and every pool worker keeps its own (instances are not
+shared across processes).  Cached artifacts are the
 byte-identical outputs of the same pure constructors the planners call
 themselves, so cached and uncached sweeps produce bitwise-identical
 tours — ``tests/test_experiments_parallel.py`` pins that.
@@ -277,7 +277,9 @@ def resolve_cache(cache: Any) -> Optional[ArtifactCache]:
 
     ``run_sweep`` and the figure runners accept either a bool (own the
     cache for the duration of the sweep) or an :class:`ArtifactCache`
-    instance (caller-owned, e.g. shared across figures at equal δ).
+    instance (caller-owned, e.g. shared across figures at equal δ;
+    ``jobs=1`` only, since worker processes cannot share it).  Callers
+    test the result with ``is None``: an empty cache is falsy.
     """
     if cache is None or cache is False:
         return None

@@ -21,8 +21,8 @@ With the reduction off or ``safe`` the candidate geometry is untouched,
 so a continuation cell's volume can never drop below its cold-start
 value — the warm tour competes through the same strict-improvement
 acceptance as every restart.  This module holds the pure helpers; the
-chain executors live next to their per-cell siblings in
-:mod:`repro.experiments.runner` and :mod:`repro.experiments.parallel`.
+chain work unit is planned by :mod:`repro.experiments.runner` like the
+other unit kinds.
 """
 
 from __future__ import annotations

@@ -6,36 +6,39 @@ the paper's Figs. 3(b)/4(b)/5(b)), optionally cross-validates the tour
 against the execution simulator, and aggregates means/standard deviations
 across instances.
 
-Execution engines
------------------
-``jobs=1`` (default) plans every cell sequentially in-process; ``jobs=N``
-fans the cells out to a process pool (:mod:`repro.experiments.parallel`)
-and merges the per-cell rows back in deterministic cell order.  Both
-paths run the *same* per-cell function (:func:`_run_cell`), so every
-deterministic field of every :class:`SweepRow` — volumes, instance
-counts, the kernel work counters in ``perf`` — is bitwise-identical
-regardless of ``jobs``; only the measured wall-clock fields vary run to
-run.  See ``docs/experiments.md``.
+Work units
+----------
+:func:`_build_units` turns a sweep into one list of JSON-safe
+:class:`WorkUnit` objects of three kinds:
 
-``batch_columns=True`` additionally groups each algorithm's cells into
-*columns*: when a spec's kwargs are identical at every parameter value
-and only the energy model varies (Fig. 5's capacity sweep), all of its
-values are planned per instance in one batch call
-(:mod:`repro.core.batch`) — batch within a process, processes across
-instances under ``jobs > 1``.  Batch plans are bitwise-identical to
-per-cell plans, so every deterministic row field except the perf
-engine/counters (which reflect the batch planner) is unchanged;
-per-cell ``mean_time_s`` becomes the column wall-clock divided by the
-column width.  Ineligible specs (the benchmark, swept-δ kwargs,
-non-insertion TSP modes) silently keep the per-cell path.
+* ``cell`` — one algorithm × one parameter value × every instance (the
+  default for every spec);
+* ``column`` (``batch_columns=True``) — one batch-eligible Algorithm 2/3
+  spec × every value × one instance, planned in one stacked batch call
+  (:mod:`repro.core.batch`).  Eligible means the spec's kwargs are
+  identical at every value and only the energy model varies (Fig. 5's
+  capacity sweep); ineligible specs silently keep cell units.  Batch
+  plans are bitwise-identical to per-cell plans; only the perf
+  engine/counters differ, and a cell's ``mean_time_s`` is the column
+  wall-clock divided by the column width;
+* ``chain`` (``delta_continuation=True``, δ sweeps only) — one Algorithm 1
+  spec × every δ × one instance, planned coarse→fine with each finer
+  grid's reduction corridor and first GRASP construction warm-started
+  from the coarser grid's tour (:mod:`repro.experiments.continuation`);
+  warm tours are accepted only on strict improvement.
 
-``delta_continuation=True`` (δ sweeps only) chains each Algorithm 1
-spec's cells per instance in descending δ order, warm-starting every
-finer grid's reduction corridor and first GRASP construction from the
-coarser grid's finished tour (:mod:`repro.experiments.continuation`);
-warm tours are accepted only on strict improvement.
+:func:`_run_unit` plans one unit and returns its samples; the merge
+buckets every sample under its cell in instance order and aggregates
+each cell exactly once, reporting progress in canonical cell order.
+``jobs=1`` (default) maps :func:`_run_unit` over the units in-process;
+``jobs=N`` maps the same function over the same units on a process pool
+(:mod:`repro.experiments.parallel`), units crossing as JSON.  Nothing
+else differs, so every deterministic field of every :class:`SweepRow` —
+volumes, instance counts, the kernel work counters in ``perf`` — is
+bitwise-identical regardless of ``jobs``; only the measured wall-clock
+fields vary run to run.  See ``docs/experiments.md``.
 
-Both paths also share the per-process
+Every process planning units keeps an
 :class:`~repro.experiments.artifacts.ArtifactCache` (``cache=True``,
 default): δ-grid sites, conflict lists, and auxiliary graphs are built
 once per (instance, δ) and reused across cells, so e.g. a capacity sweep
@@ -48,8 +51,10 @@ geometry-included time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+import os
+from dataclasses import asdict, dataclass, field
+from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -68,12 +73,12 @@ from repro.network.sensor_network import SensorNetwork
 from repro.obs.ledger import get_ledger, record_event
 from repro.obs.metrics import get_metrics
 from repro.obs.record import (
+    PERF_SECONDS_PREFIX,
     config_hash,
     flatten_perf,
     perf_counter_metrics,
     sanitize_config,
 )
-from repro.obs.record import PERF_SECONDS_PREFIX  # re-export, shared def
 from repro.obs.tracer import TracerLike, activated, span
 from repro.sim.validate import cross_validate
 from repro.utils.timing import Timer
@@ -166,27 +171,15 @@ class SweepResult:
         return seen
 
 
-def _flatten_perf(perf: Dict[str, Any], prefix: str = "") -> Dict[str, float]:
-    """Flatten a (possibly nested) ``meta["perf"]`` dict into dotted keys.
-
-    ``{"sites_rescored": 3, "seconds": {"rescore": 0.1}}`` becomes
-    ``{"sites_rescored": 3.0, "seconds.rescore": 0.1}``.  Non-numeric
-    leaves (e.g. the ``"engine"`` string) are skipped — the caller keeps
-    those out of the per-instance averages.  (Thin alias over the shared
-    :func:`repro.obs.record.flatten_perf`.)
-    """
-    return flatten_perf(perf, prefix=prefix)
-
-
 def _fold_perf_ambient(perf: Optional[Dict[str, Any]]) -> None:
     """Fold one tour's perf snapshot into the ambient metrics registry.
 
     A no-op unless a :class:`~repro.obs.metrics.metrics_scope` is active.
     Work counts become ``kernel.*`` counters (deterministic), the
     measured ``seconds.*`` phases become ``kernel.*`` timers — so a whole
-    sweep's kernel work accumulates in one registry regardless of the
-    execution engine (the parallel executor scopes a fresh registry per
-    worker cell and merges the snapshots back,
+    sweep's kernel work accumulates in one registry regardless of
+    ``jobs`` (pool workers scope a fresh registry per work unit and the
+    parent merges the snapshots back,
     :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`).
     """
     registry = get_metrics()
@@ -205,10 +198,9 @@ def sweep_cells(algorithms: Sequence[AlgoSpec],
                 param_values: Sequence[float]) -> List[tuple]:
     """The sweep's cell list in canonical order: ``(index, value, spec)``.
 
-    Canonical order is the sequential runner's loop nesting — parameter
-    values outer, algorithms inner — and defines both the row order of
-    :class:`SweepResult` and the progress-callback order under every
-    execution engine.
+    Canonical order is parameter values outer, algorithms inner, and
+    defines both the row order of :class:`SweepResult` and the
+    progress-callback order at every ``jobs`` value.
     """
     cells = []
     for value in param_values:
@@ -238,7 +230,7 @@ def _emit_sweep_records(config: ExperimentConfig,
     ``sweep.column`` per batched column); a no-op when no ledger is active.
 
     Called *after* every row exists — the parent emits these in canonical
-    cell order under every execution engine, and nothing here touches the
+    cell order at every ``jobs`` value, and nothing here touches the
     rows, so sweep outputs stay bitwise-identical with the ledger on or
     off.  Cell wall-clock is the aggregate planning time
     (``mean_time_s * n_instances``); the counters are the deterministic
@@ -344,18 +336,19 @@ def run_sweep(config: ExperimentConfig,
     make_kwargs:
         Maps (config, param value, spec) to planner kwargs for a cell.
         Under ``jobs > 1`` the returned kwargs must be JSON-serialisable
-        (they are shipped to worker processes as data, not pickled).
+        (work units cross to worker processes as data, not pickles); a
+        non-JSON kwarg raises :class:`TypeError` before any worker starts.
     validate:
         Cross-validate every planned tour against the simulator (cheap
         relative to planning; catches planner regressions during sweeps).
     progress:
         Optional callback receiving one ``[k/total]``-prefixed status
-        line per cell, always in canonical cell order (the parallel
-        executor buffers out-of-order completions).
+        line per cell, always in canonical cell order, as soon as every
+        unit contributing to the cell (and to all cells before it) is done.
     trace:
         Optional :class:`repro.obs.Tracer` activated for the whole sweep;
-        every cell gets a ``runner.cell`` span wrapping its instance loop,
-        with the planner's own spans nested underneath.  Under
+        every unit gets a ``runner.cell``/``runner.column``/``runner.chain``
+        span with the planner's own spans nested underneath.  Under
         ``jobs > 1`` workers record spans into JSONL shards which are
         merged into this tracer after the sweep
         (:mod:`repro.obs.shards`).
@@ -364,43 +357,49 @@ def run_sweep(config: ExperimentConfig,
     cache:
         ``True`` (default) — memoize per-(instance, δ) geometry across
         cells in an :class:`~repro.experiments.artifacts.ArtifactCache`
-        (one per process); ``False`` — rebuild per cell, paper-literal;
-        or a caller-owned cache instance (sequential path only).
+        (one per planning process); ``False`` — rebuild per cell,
+        paper-literal; or a caller-owned cache instance, which only
+        ``jobs=1`` can use (worker processes cannot share it, so
+        ``jobs > 1`` raises :class:`ValueError`).
     batch_columns:
         Plan each eligible algorithm's whole value column per instance
-        in one stacked batch call (see the module docstring).
-        Deterministic row fields other than the perf engine/counters
-        are unchanged; ineligible specs keep the per-cell path.
+        in one stacked batch call (``column`` units, see the module
+        docstring).  Deterministic row fields other than the perf
+        engine/counters are unchanged; ineligible specs keep cell units.
     site_reduction:
         Candidate-site reduction pre-pass applied to every δ-grid cell
         (``None``/``"off"``, ``"safe"``, ``"aggressive"``, a
         :class:`~repro.core.reduce.SiteReduction`, or its dict form).
         Implemented by wrapping *make_kwargs* with a JSON-safe
-        ``site_reduction`` planner kwarg, so it reaches every execution
-        engine — sequential, parallel workers, and batch columns — the
-        same way; benchmark specs and specs that already set their own
-        ``site_reduction`` are left alone.  Capacity-dependent stages
-        bound a batch column by its largest capacity (see
-        :mod:`repro.core.batch`).
+        ``site_reduction`` planner kwarg, so it reaches every unit kind
+        at every ``jobs`` value the same way; benchmark specs and specs
+        that already set their own ``site_reduction`` are left alone.
+        Capacity-dependent stages bound a batch column by its largest
+        capacity (see :mod:`repro.core.batch`).
     delta_continuation:
         Plan each Algorithm 1 spec's δ column per instance in descending
-        δ order (coarse grids first), warm-starting every finer cell's
+        δ order (``chain`` units), warm-starting every finer cell's
         reduction corridor and first GRASP construction from the coarser
         cell's finished tour (:mod:`repro.experiments.continuation`).
         Requires a δ sweep (``param_name == "delta"``) and the artifact
         cache (the warm payloads flow through it); warm tours are kept
         only on strict improvement, so with the reduction off or
         ``safe`` a continuation cell never collects less than its
-        cold-start value.  Other specs keep the per-cell path.
+        cold-start value.  Other specs keep cell units.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs > 1 and isinstance(cache, ArtifactCache):
+        raise ValueError(
+            "a caller-owned ArtifactCache cannot be shared with worker "
+            "processes; pass cache=True (one cache per worker) or jobs=1")
+    artifact_cache = resolve_cache(cache)
     if delta_continuation:
         if param_name != "delta":
             raise ValueError(
                 f"delta_continuation chains along the swept δ axis; this "
                 f"sweep's param_name is {param_name!r}")
-        if not cache:
+        if artifact_cache is None:
             raise ValueError(
                 "delta_continuation needs the artifact cache (cache=True): "
                 "warm payloads for the finer grids flow through it")
@@ -408,149 +407,253 @@ def run_sweep(config: ExperimentConfig,
     if reduction.enabled:
         make_kwargs = _with_site_reduction(make_kwargs,
                                            reduction.transport())
-    if jobs > 1:
-        from repro.experiments.parallel import run_sweep_parallel
-        return run_sweep_parallel(
-            config, instances, algorithms, param_name, param_values,
-            make_energy=make_energy, make_kwargs=make_kwargs,
-            validate=validate, progress=progress, trace=trace, jobs=jobs,
-            cache=bool(cache), batch_columns=batch_columns,
-            delta_continuation=delta_continuation)
-
-    radio = config.radio_model()
-    artifact_cache = resolve_cache(cache)
+    units = _build_units(config, len(instances), algorithms, param_name,
+                        param_values, make_energy=make_energy,
+                        make_kwargs=make_kwargs, batch_columns=batch_columns,
+                        delta_continuation=delta_continuation)
     cells = sweep_cells(algorithms, param_values)
-    rows: List[SweepRow] = []
-    column_rows: Dict[int, SweepRow] = {}
-    batch_specs: List[int] = []
-    chain_specs: List[int] = []
-    n_specs = len(algorithms)
+    pool_meta: Dict[str, Any] = {}
     with activated(trace):
-        if delta_continuation:
-            for s_idx, spec in enumerate(algorithms):
-                if not chainable_spec(config, spec, param_values,
-                                      make_kwargs):
-                    continue
-                chain_specs.append(s_idx)
-                energies = [make_energy(config, v) for v in param_values]
-                kwargs_by_value = [make_kwargs(config, v, spec)
-                                   for v in param_values]
-                samples_by_value: List[List[Sample]] = \
-                    [[] for _ in param_values]
-                with span("runner.chain", algorithm=spec.name,
-                          param=param_name, width=len(param_values)):
-                    for net in instances:
-                        samples = _plan_chain_instance(
-                            net, spec, param_values, energies, radio,
-                            kwargs_by_value=kwargs_by_value,
-                            validate=validate, cache=artifact_cache)
-                        for v_idx, sample in enumerate(samples):
-                            samples_by_value[v_idx].append(sample)
-                for v_idx, value in enumerate(param_values):
-                    column_rows[v_idx * n_specs + s_idx] = \
-                        _aggregate_samples(param_name, value, spec,
-                                           samples_by_value[v_idx])
-        if batch_columns:
-            for s_idx, spec in enumerate(algorithms):
-                if s_idx in chain_specs or not batchable_column(
-                        config, spec, param_values, make_energy,
-                        make_kwargs):
-                    continue
-                batch_specs.append(s_idx)
-                energies = [make_energy(config, v) for v in param_values]
-                kwargs = make_kwargs(config, param_values[0], spec)
-                samples_by_value = [[] for _ in param_values]
-                with span("runner.column", algorithm=spec.name,
-                          param=param_name, width=len(param_values)):
-                    for net in instances:
-                        samples = _plan_column_instance(
-                            net, spec, energies, radio, kwargs=kwargs,
-                            validate=validate, cache=artifact_cache)
-                        for v_idx, sample in enumerate(samples):
-                            samples_by_value[v_idx].append(sample)
-                for v_idx, value in enumerate(param_values):
-                    column_rows[v_idx * n_specs + s_idx] = \
-                        _aggregate_samples(param_name, value, spec,
-                                           samples_by_value[v_idx])
-        for index, value, spec in cells:
-            if index in column_rows:
-                row = column_rows[index]
-            else:
-                energy = make_energy(config, value)
-                kwargs = make_kwargs(config, value, spec)
-                with span("runner.cell", cell=index, param=param_name,
-                          value=float(value), algorithm=spec.name):
-                    row = _run_cell(instances, spec, param_name, value,
-                                    energy, radio, kwargs=kwargs,
-                                    validate=validate,
-                                    cache=artifact_cache)
-            rows.append(row)
-            if progress is not None:
-                progress(format_progress(index, len(cells), param_name,
-                                         value, row))
+        if jobs > 1 and units:
+            from repro.experiments.parallel import WorkerPool
+            with span("parallel.sweep", cells=len(cells), units=len(units),
+                      jobs=jobs):
+                with WorkerPool(config, instances, units, jobs=jobs,
+                                cache=artifact_cache is not None,
+                                validate=validate) as pool:
+                    rows = _merge_rows(cells, units, pool.results(),
+                                       len(instances), param_name, progress)
+            cache_stats = pool.cache_stats()
+            pool_meta = pool.meta
+        else:
+            ctx = UnitContext(instances, config.radio_model(),
+                              artifact_cache, validate)
+            rows = _merge_rows(cells, units,
+                               (_run_unit(unit, ctx) for unit in units),
+                               len(instances), param_name, progress)
+            cache_stats = (None if artifact_cache is None
+                           else artifact_cache.stats())
+        column_specs = sorted({u.spec for u in units if u.kind == "column"})
         _emit_sweep_records(
-            config, algorithms, param_name, param_values, rows, jobs=1,
-            column_specs=batch_specs)
+            config, algorithms, param_name, param_values, rows, jobs=jobs,
+            column_specs=column_specs)
     meta: Dict[str, Any] = {
-        "jobs": 1,
-        "batch_columns": len(batch_specs) * len(param_values),
-        "continuation_chains": len(chain_specs) * len(instances)}
-    if artifact_cache is not None:
-        meta["cache"] = artifact_cache.stats()
+        "jobs": jobs,
+        "batch_columns": len(column_specs) * len(param_values),
+        "continuation_chains": sum(u.kind == "chain" for u in units)}
+    if cache_stats is not None:
+        meta["cache"] = cache_stats
+    meta.update(pool_meta)
     return SweepResult(config=config, rows=rows, meta=meta)
 
 
-def _run_cell(instances: Sequence[SensorNetwork],
-              spec: AlgoSpec,
-              param_name: str,
-              value: float,
-              energy: EnergyModel,
-              radio: Any,
-              *,
-              kwargs: Dict[str, Any],
-              validate: bool,
-              cache: Optional[ArtifactCache] = None) -> SweepRow:
-    """Plan every instance of one (algorithm, parameter value) cell.
+@dataclass(frozen=True)
+class WorkUnit:
+    """One piece of sweep work: a cell, a batch column or a δ chain.
 
-    This is the unit of work both execution engines share: the
-    sequential runner calls it inline, the parallel executor calls it
-    inside each worker — which is what keeps the timing semantics
-    identical (the :class:`Timer` wraps only the planning call, never
-    queueing or transport) and the deterministic row fields bitwise-equal
-    across ``jobs`` settings.
+    Plain data: everything a planning process needs besides the shared
+    :class:`UnitContext`, and JSON-safe whenever the sweep's
+    ``make_kwargs`` returns data.  The per-value fields (``cells``,
+    ``values``, ``energies``, ``kwargs``) are aligned, in parameter-value
+    order; a ``cell`` unit covers one value, ``column``/``chain`` units
+    every value of their spec.
     """
-    samples = [_instance_sample(net, spec, energy, radio, kwargs=kwargs,
-                                validate=validate, cache=cache)
-               for net in instances]
-    return _aggregate_samples(param_name, value, spec, samples)
+
+    #: ``"cell"``, ``"column"`` or ``"chain"``.
+    kind: str
+    #: Index of the unit's algorithm in the sweep.
+    spec: int
+    algorithm: str
+    method: str
+    param_name: str
+    #: Canonical cell index (:func:`sweep_cells`) per covered value.
+    cells: List[int]
+    values: List[float]
+    #: :class:`EnergyModel` constructor fields per covered value.
+    energies: List[Dict[str, Any]]
+    #: Planner kwargs per covered value.
+    kwargs: List[Dict[str, Any]]
+    #: The one instance a column/chain plans; ``None`` (cells): all.
+    instance: Optional[int] = None
+
+    def to_json(self) -> str:
+        """The unit as a JSON work payload; raises if kwargs are not data."""
+        try:
+            return json.dumps(vars(self))
+        except TypeError as exc:
+            raise TypeError(
+                f"parallel sweeps ship planner kwargs to workers as JSON; "
+                f"make_kwargs returned non-serialisable options for "
+                f"{self.algorithm!r} at {self.param_name}="
+                f"{self.values[0]:g}: {exc}") from exc
+
+    @classmethod
+    def from_json(cls, text: str) -> "WorkUnit":
+        return cls(**json.loads(text))
+
+
+class UnitContext(NamedTuple):
+    """What a planning process holds besides the work units themselves."""
+
+    instances: Sequence[SensorNetwork]
+    radio: Any
+    cache: Optional[ArtifactCache]
+    validate: bool
+
+
+def _build_units(config: ExperimentConfig,
+                n_instances: int,
+                algorithms: Sequence[AlgoSpec],
+                param_name: str,
+                param_values: Sequence[float],
+                *,
+                make_energy: Callable[[ExperimentConfig, float],
+                                      EnergyModel],
+                make_kwargs: Callable[[ExperimentConfig, float, AlgoSpec],
+                                      Dict[str, Any]],
+                batch_columns: bool = False,
+                delta_continuation: bool = False) -> List[WorkUnit]:
+    """The sweep as one work-unit list (see the module docstring).
+
+    Each spec becomes one chain per instance when ``delta_continuation``
+    is set and :func:`~repro.experiments.continuation.chainable_spec`
+    accepts it, else one column per instance when ``batch_columns`` is
+    set and :func:`batchable_column` accepts it, else one cell per
+    parameter value.  Chains come first, then columns (spec outer,
+    instance inner), then cells in canonical order: the long units
+    start first on a pool.
+    """
+    values = [float(v) for v in param_values]
+    energies = [asdict(make_energy(config, v)) for v in param_values]
+    n_specs = len(algorithms)
+    grouped: Dict[str, List[WorkUnit]] = {"chain": [], "column": []}
+    grouped_specs = set()
+    for s_idx, spec in enumerate(algorithms):
+        if delta_continuation and chainable_spec(config, spec, param_values,
+                                                 make_kwargs):
+            kind = "chain"
+        elif batch_columns and batchable_column(config, spec, param_values,
+                                                make_energy, make_kwargs):
+            kind = "column"
+        else:
+            continue
+        grouped_specs.add(s_idx)
+        kwargs = [make_kwargs(config, v, spec) for v in param_values]
+        cells = [v_idx * n_specs + s_idx for v_idx in range(len(values))]
+        grouped[kind] += [
+            WorkUnit(kind, s_idx, spec.name, spec.method, param_name, cells,
+                     values, energies, kwargs, instance)
+            for instance in range(n_instances)]
+    cell_units = [
+        WorkUnit("cell", index % n_specs, spec.name, spec.method, param_name,
+                 [index], [values[index // n_specs]],
+                 [energies[index // n_specs]],
+                 [make_kwargs(config, value, spec)])
+        for index, value, spec in sweep_cells(algorithms, param_values)
+        if index % n_specs not in grouped_specs]
+    return grouped["chain"] + grouped["column"] + cell_units
 
 
 #: One per-instance measurement: (volume_gb, planning_time_s, perf dict).
 Sample = Tuple[float, float, Optional[Dict[str, Any]]]
 
 
+def _run_unit(unit: WorkUnit, ctx: UnitContext) -> List[List[Sample]]:
+    """Plan one work unit; samples indexed ``[value][instance]``.
+
+    The one planning entry of both execution modes: ``jobs=1`` calls it
+    in-process, every pool worker calls it on the unit it was sent.  It
+    opens the unit's ``runner.cell``/``runner.column``/``runner.chain``
+    span, and every tour's perf snapshot is folded into the ambient
+    metrics registry.
+    """
+    energies = [EnergyModel(**fields) for fields in unit.energies]
+    common = {"param": unit.param_name, "algorithm": unit.algorithm,
+              "worker": os.getpid()}
+    if unit.kind == "cell":
+        with span("runner.cell", cell=unit.cells[0], value=unit.values[0],
+                  **common):
+            return [[_instance_sample(net, unit.method, energies[0], ctx,
+                                      unit.kwargs[0])
+                     for net in ctx.instances]]
+    assert unit.instance is not None
+    net = ctx.instances[unit.instance]
+    if unit.kind == "column":
+        with span("runner.column", column=unit.spec, instance=unit.instance,
+                  width=len(energies), **common):
+            samples = _plan_column_instance(net, unit.method, energies, ctx,
+                                            unit.kwargs[0])
+    else:
+        with span("runner.chain", chain=unit.spec, instance=unit.instance,
+                  width=len(energies), **common):
+            samples = _plan_chain_instance(net, unit.method, unit.values,
+                                           energies, ctx, unit.kwargs)
+    return [[sample] for sample in samples]
+
+
+def _merge_rows(cells: Sequence[tuple],
+                units: Sequence[WorkUnit],
+                results: Iterable[List[List[Sample]]],
+                n_instances: int,
+                param_name: str,
+                progress: Optional[Callable[[str], None]]) -> List[SweepRow]:
+    """Bucket unit samples per cell and aggregate each cell once.
+
+    *results* yields each unit's samples in unit order.  Samples land in
+    their cell's bucket at their instance's slot, so every cell
+    aggregates in instance order whatever unit produced it; a cell is
+    aggregated (and reported to *progress*) once it and every cell
+    before it in canonical order are complete.
+    """
+    buckets: List[List[Any]] = [[None] * n_instances for _ in cells]
+    missing = [n_instances] * len(cells)
+    rows: List[SweepRow] = []
+
+    def flush() -> None:
+        while len(rows) < len(cells) and not missing[len(rows)]:
+            index, value, spec = cells[len(rows)]
+            row = _aggregate_samples(param_name, value, spec, buckets[index])
+            rows.append(row)
+            if progress is not None:
+                progress(format_progress(index, len(cells), param_name,
+                                         value, row))
+
+    for unit, samples in zip(units, results):
+        slots = (range(n_instances) if unit.instance is None
+                 else [unit.instance])
+        for cell, by_instance in zip(unit.cells, samples):
+            for slot, sample in zip(slots, by_instance):
+                buckets[cell][slot] = sample
+            missing[cell] -= len(by_instance)
+        flush()
+    flush()
+    return rows
+
+
 def _instance_sample(net: SensorNetwork,
-                     spec: AlgoSpec,
+                     method: str,
                      energy: EnergyModel,
-                     radio: Any,
-                     *,
-                     kwargs: Dict[str, Any],
-                     validate: bool,
-                     cache: Optional[ArtifactCache] = None) -> Sample:
+                     ctx: UnitContext,
+                     kwargs: Dict[str, Any]) -> Sample:
     """Plan one instance of one cell; the timer wraps only the planning."""
     call_kwargs = kwargs
-    if cache is not None:
+    if ctx.cache is not None:
         # Outside the timer: cached sweeps report pure planning time
         # over prebuilt geometry (see the module docstring).
-        call_kwargs = cache.augment_kwargs(net, energy, radio,
-                                           spec.method, kwargs)
+        call_kwargs = ctx.cache.augment_kwargs(net, energy, ctx.radio,
+                                               method, kwargs)
     with Timer() as t:
-        tour = plan_tour(net, energy, radio,
-                         method=spec.method, **call_kwargs)
-    if validate:
-        cross_validate(tour, radio)
+        tour = plan_tour(net, energy, ctx.radio, method=method,
+                         **call_kwargs)
+    return _tour_sample(tour, t.elapsed, ctx)
+
+
+def _tour_sample(tour: Any, time_s: float, ctx: UnitContext) -> Sample:
+    """Validate one planned tour, fold its perf, and make its sample."""
+    if ctx.validate:
+        cross_validate(tour, ctx.radio)
     _fold_perf_ambient(tour.meta.get("perf"))
-    return (tour.collected_volume / MB_PER_GB, t.elapsed,
+    return (tour.collected_volume / MB_PER_GB, time_s,
             tour.meta.get("perf"))
 
 
@@ -558,9 +661,9 @@ def _aggregate_samples(param_name: str, value: float, spec: AlgoSpec,
                        samples: Sequence[Sample]) -> SweepRow:
     """Aggregate one cell's per-instance samples into its sweep row.
 
-    Shared verbatim by the per-cell, column, and parallel executors —
-    aggregation order is the instance order, so every executor produces
-    the identical float reductions.
+    Called once per cell by the merge, with the samples in instance
+    order whatever unit kind or process produced them, so every
+    ``jobs`` value produces the identical float reductions.
     """
     volumes = [s[0] for s in samples]
     times = [s[1] for s in samples]
@@ -569,7 +672,7 @@ def _aggregate_samples(param_name: str, value: float, spec: AlgoSpec,
     for _, _, perf in samples:
         if perf:
             perf_engine = perf.get("engine", perf_engine)
-            for key, val in _flatten_perf(perf).items():
+            for key, val in flatten_perf(perf).items():
                 perf_acc.setdefault(key, []).append(val)
     perf_mean: Optional[Dict[str, Any]] = None
     if perf_acc:
@@ -642,14 +745,10 @@ def batchable_column(config: ExperimentConfig,
 
 
 def _plan_column_instance(net: SensorNetwork,
-                          spec: AlgoSpec,
+                          method: str,
                           energies: Sequence[EnergyModel],
-                          radio: Any,
-                          *,
-                          kwargs: Dict[str, Any],
-                          validate: bool,
-                          cache: Optional[ArtifactCache] = None
-                          ) -> List[Sample]:
+                          ctx: UnitContext,
+                          kwargs: Dict[str, Any]) -> List[Sample]:
     """Plan one instance's whole column in one batch call.
 
     Returns one sample per parameter value, in value order.  The timer
@@ -658,46 +757,37 @@ def _plan_column_instance(net: SensorNetwork,
     in ``perf`` stay per-variant and grouping-invariant).
     """
     call_kwargs = dict(kwargs)
-    if cache is not None:
+    if ctx.cache is not None:
         # Outside the timer, like the per-cell path.  The largest
         # capacity is the column's reachability bound for capacity-
         # dependent site reductions (matching _reduce_column_sites in
         # repro.core.batch); plain geometry keys ignore the capacity, so
         # the choice is free for unreduced columns.
         cap_energy = max(energies, key=lambda e: e.capacity)
-        call_kwargs = cache.augment_kwargs(net, cap_energy, radio,
-                                           spec.method, call_kwargs)
+        call_kwargs = ctx.cache.augment_kwargs(net, cap_energy, ctx.radio,
+                                               method, call_kwargs)
     delta = call_kwargs.pop("delta")
     call_kwargs.pop("tsp_mode", None)
-    if spec.method == "algorithm3":
+    if method == "algorithm3":
         K = call_kwargs.pop("K")
         with Timer() as t:
-            tours = plan_algorithm3_batch(net, list(energies), radio, delta,
-                                          K, **call_kwargs)
+            tours = plan_algorithm3_batch(net, list(energies), ctx.radio,
+                                          delta, K, **call_kwargs)
     else:
         with Timer() as t:
-            tours = plan_algorithm2_batch(net, list(energies), radio, delta,
-                                          **call_kwargs)
+            tours = plan_algorithm2_batch(net, list(energies), ctx.radio,
+                                          delta, **call_kwargs)
     share = t.elapsed / len(tours)
-    samples: List[Sample] = []
-    for tour in tours:
-        if validate:
-            cross_validate(tour, radio)
-        _fold_perf_ambient(tour.meta.get("perf"))
-        samples.append((tour.collected_volume / MB_PER_GB, share,
-                        tour.meta.get("perf")))
-    return samples
+    return [_tour_sample(tour, share, ctx) for tour in tours]
 
 
 def _plan_chain_instance(net: SensorNetwork,
-                         spec: AlgoSpec,
+                         method: str,
                          param_values: Sequence[float],
                          energies: Sequence[EnergyModel],
-                         radio: Any,
-                         *,
-                         kwargs_by_value: Sequence[Dict[str, Any]],
-                         validate: bool,
-                         cache: ArtifactCache) -> List[Sample]:
+                         ctx: UnitContext,
+                         kwargs_by_value: Sequence[Dict[str, Any]]
+                         ) -> List[Sample]:
     """Plan one instance's δ column coarse→fine with warm continuation.
 
     Cells run in descending δ order; each finer cell's kwargs gain the
@@ -706,31 +796,27 @@ def _plan_chain_instance(net: SensorNetwork,
     hint for Algorithm 1).  Returns one sample per parameter value, in
     *value* order; the timer wraps each cell's planning call exactly
     like the per-cell path, so ``mean_time_s`` keeps its semantics.
-
-    Both execution engines share this function verbatim — sequential
-    chains run it inline, parallel chains inside a worker — which is
-    what keeps continuation rows bitwise-identical across ``jobs``.
+    The whole chain runs in one process, so its warm payloads never
+    cross a process boundary.
     """
+    cache = ctx.cache
+    assert cache is not None   # run_sweep refuses continuation without it
     samples: List[Optional[Sample]] = [None] * len(param_values)
     seed_points: Optional[List[List[float]]] = None
     for i in continuation_order(param_values):
         kwargs = dict(kwargs_by_value[i])
         if seed_points:
             kwargs["corridor_seed"] = seed_points
-        call_kwargs = cache.augment_kwargs(net, energies[i], radio,
-                                           spec.method, kwargs)
+        call_kwargs = cache.augment_kwargs(net, energies[i], ctx.radio,
+                                           method, kwargs)
         if seed_points:
             warm = project_warm_nodes(seed_points, call_kwargs["sites"])
             if warm is not None:
                 call_kwargs["warm_nodes"] = warm
         with Timer() as t:
-            tour = plan_tour(net, energies[i], radio,
-                             method=spec.method, **call_kwargs)
-        if validate:
-            cross_validate(tour, radio)
-        _fold_perf_ambient(tour.meta.get("perf"))
-        samples[i] = (tour.collected_volume / MB_PER_GB, t.elapsed,
-                      tour.meta.get("perf"))
+            tour = plan_tour(net, energies[i], ctx.radio, method=method,
+                             **call_kwargs)
+        samples[i] = _tour_sample(tour, t.elapsed, ctx)
         seed_points = tour_seed_points(tour) or seed_points
     return [s for s in samples if s is not None]
 
@@ -749,10 +835,6 @@ def _population_std(values: Sequence[float]) -> float:
     return float(np.std(np.asarray(values, dtype=float), ddof=0))
 
 
-__all__ = ["AlgoSpec", "SweepRow", "SweepResult", "run_sweep", "MB_PER_GB",
-           "PERF_SECONDS_PREFIX", "sweep_cells", "format_progress",
-           "batchable_column", "_with_site_reduction",
-           "_flatten_perf", "_fold_perf_ambient",
-           "_emit_sweep_records", "_run_cell", "_instance_sample",
-           "_aggregate_samples", "_plan_column_instance",
-           "_plan_chain_instance", "_population_std"]
+__all__ = ["AlgoSpec", "SweepRow", "SweepResult", "WorkUnit", "UnitContext",
+           "run_sweep", "batchable_column", "sweep_cells", "format_progress",
+           "MB_PER_GB"]

@@ -61,8 +61,7 @@ RECORD_VERSION = 1
 _NONDETERMINISTIC_METRICS = ("timers_s", "histograms")
 
 #: Key prefix of measured wall-clock in a tour's ``meta["perf"]``
-#: snapshot (``repro.experiments.runner`` re-exports this as
-#: ``PERF_SECONDS_PREFIX``; excluded from determinism comparisons).
+#: snapshot (excluded from determinism comparisons).
 PERF_SECONDS_PREFIX = "seconds."
 
 

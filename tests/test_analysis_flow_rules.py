@@ -95,6 +95,28 @@ class TestFlowTransport:
         raw = raw_findings(project, FlowTransportRule())
         assert not any("clean_unit" in f.message for f in raw)
 
+    def test_pool_map_entry_return_is_checked(self, tmp_path):
+        package = tmp_path / "src" / "repro" / "flowmap"
+        package.mkdir(parents=True)
+        (package / "worker.py").write_text(
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "\n"
+            "import numpy as np\n"
+            "\n"
+            "\n"
+            "def mapped_unit(values):\n"
+            "    return {\"mean\": np.mean(values)}\n"
+            "\n"
+            "\n"
+            "def run_pool(groups):\n"
+            "    with ProcessPoolExecutor() as pool:\n"
+            "        return list(pool.map(mapped_unit, groups))\n")
+        project = Project.load(tmp_path, [Path("src")])
+        kept = run_rules(project, [FlowTransportRule()])
+        assert [(f.path, f.line) for f in kept] == [
+            ("src/repro/flowmap/worker.py", 7)]
+        assert "mapped_unit" in kept[0].message
+
 
 class TestFlowParity:
     def test_reported_set(self):

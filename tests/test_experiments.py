@@ -8,8 +8,9 @@ from repro.experiments.fig3 import run_fig3
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.instances import make_instances
-from repro.experiments.runner import AlgoSpec, _flatten_perf, run_sweep
+from repro.experiments.runner import AlgoSpec, run_sweep
 from repro.experiments.tables import rows_to_csv, rows_to_markdown
+from repro.obs.record import flatten_perf
 from repro.utils.errors import InvalidParameterError
 
 
@@ -184,7 +185,7 @@ class TestRunner:
 
 class TestFlattenPerf:
     def test_nested_dicts_become_dotted_keys(self):
-        flat = _flatten_perf({
+        flat = flatten_perf({
             "sites_rescored": 3,
             "seconds": {"rescore": 0.25, "deep": {"leaf": 1}},
         })
@@ -192,11 +193,11 @@ class TestFlattenPerf:
                         "seconds.deep.leaf": 1.0}
 
     def test_non_numeric_leaves_skipped(self):
-        assert _flatten_perf({"engine": "kernel", "polished": True,
-                              "n": 2}) == {"n": 2.0}
+        assert flatten_perf({"engine": "kernel", "polished": True,
+                             "n": 2}) == {"n": 2.0}
 
     def test_empty(self):
-        assert _flatten_perf({}) == {}
+        assert flatten_perf({}) == {}
 
 
 class TestFigureRunners:

@@ -12,16 +12,19 @@ import pytest
 from repro.core.algorithm1 import plan_algorithm1
 from repro.core.auxgraph import build_auxiliary_graph
 from repro.core.hovering import build_hovering_sites
+from repro.experiments import cli, parallel
 from repro.experiments.artifacts import ArtifactCache, resolve_cache
 from repro.experiments.config import reduced_settings
 from repro.experiments.fig3 import run_fig3
-from repro.experiments.fig4 import run_fig4
+from repro.experiments.fig4 import fig4_algorithms, run_fig4
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.instances import make_instances
-from repro.experiments.parallel import _encode_unit, run_sweep_parallel
 from repro.experiments.runner import (
     AlgoSpec,
+    SweepResult,
     SweepRow,
+    WorkUnit,
+    _build_units,
     batchable_column,
     format_progress,
     run_sweep,
@@ -157,6 +160,17 @@ class TestTraceShardsIntegration:
         assert result.meta["trace_records"] == len(
             [r for r in records if r["name"] != "parallel.sweep"])
 
+    def test_column_spans_per_instance_at_every_jobs(self, tiny_config):
+        def column_spans(jobs):
+            tracer = Tracer()
+            with activated(tracer):
+                run_fig5(tiny_config, jobs=jobs, batch_columns=True)
+            return sorted((r["attrs"]["column"], r["attrs"]["instance"])
+                          for r in tracer.records()
+                          if r["name"] == "runner.column")
+        assert column_spans(1) == column_spans(2) == [
+            (0, 0), (0, 1), (1, 0), (1, 1)]
+
     def test_no_tracer_no_trace_meta(self, tiny_config):
         result = run_fig3(tiny_config, n_restarts=1, jobs=2)
         assert "trace_records" not in result.meta
@@ -215,13 +229,40 @@ class TestShardsUnit:
 
 
 class TestWorkUnits:
-    def test_non_json_kwargs_rejected(self):
-        spec = AlgoSpec("Alg 2", "algorithm2", {})
-        energy = reduced_settings().energy_model()
+    def test_non_json_kwargs_rejected_before_workers_start(
+            self, tiny_config, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        nets = make_instances(tiny_config)
         with pytest.raises(TypeError, match="non-serialisable"):
-            _encode_unit(0, "capacity", 1.5e4, spec, energy,
-                         {"delta": 25.0, "rng": np.random.default_rng(0)},
-                         True)
+            run_sweep(tiny_config, nets, [AlgoSpec("Alg 2", "algorithm2")],
+                      "capacity", tiny_config.capacity_sweep,
+                      make_energy=lambda c, v: c.energy_model(capacity=v),
+                      make_kwargs=lambda c, v, s: {
+                          "delta": 25.0, "rng": np.random.default_rng(0)},
+                      jobs=2)
+
+    def test_unit_kinds_and_order(self, tiny_config):
+        specs = fig4_algorithms(tiny_config, algorithm1=True)
+
+        def make_kwargs(cfg, value, spec):
+            return {**spec.kwargs, "delta": cfg.delta}
+
+        units = _build_units(
+            tiny_config, 2, specs, "capacity", tiny_config.capacity_sweep,
+            make_energy=lambda c, v: c.energy_model(capacity=v),
+            make_kwargs=make_kwargs, batch_columns=True)
+        kinds = [(u.kind, u.spec, u.instance) for u in units]
+        # Algorithm 2/3 batch (2 columns x 2 instances) ahead of the
+        # per-cell Algorithm 1 and benchmark (2 capacities each).
+        assert kinds[:4] == [("column", 1, 0), ("column", 1, 1),
+                             ("column", 2, 0), ("column", 2, 1)]
+        assert [k for k, _, _ in kinds[4:]] == ["cell"] * 4
+        assert [u.cells for u in units[4:]] == [[0], [3], [4], [7]]
+        for unit in units:
+            assert WorkUnit.from_json(unit.to_json()) == unit
 
 
 class TestEngineSelection:
@@ -231,18 +272,44 @@ class TestEngineSelection:
                       make_energy=lambda c, v: c.energy_model(),
                       make_kwargs=lambda c, v, s: {}, jobs=0)
 
-    def test_parallel_rejects_jobs_one(self, tiny_config):
-        with pytest.raises(ValueError, match="jobs >= 2"):
-            run_sweep_parallel(tiny_config, [], [], "capacity", (),
-                               make_energy=lambda c, v: c.energy_model(),
-                               make_kwargs=lambda c, v, s: {}, jobs=1)
+    def test_empty_sweep_meta_matches_across_jobs(self, tiny_config):
+        def run(jobs):
+            return run_sweep(tiny_config, [], [], "capacity", (),
+                             make_energy=lambda c, v: c.energy_model(),
+                             make_kwargs=lambda c, v, s: {}, jobs=jobs)
+        seq, par = run(1), run(2)
+        assert seq.rows == par.rows == []
+        assert sorted(par.meta) == sorted(seq.meta)
+        assert par.meta["cache"] == seq.meta["cache"]
 
-    def test_parallel_empty_cells(self, tiny_config):
-        result = run_sweep_parallel(
-            tiny_config, [], [], "capacity", (),
-            make_energy=lambda c, v: c.energy_model(),
-            make_kwargs=lambda c, v, s: {}, jobs=2)
-        assert result.rows == []
+    def test_meta_keys_equal_jobs1_vs_jobs2(self, tiny_config):
+        seq = run_fig5(tiny_config, jobs=1, batch_columns=True)
+        par = run_fig5(tiny_config, jobs=2, batch_columns=True)
+        assert sorted(par.meta) == sorted(seq.meta)
+        assert sorted(par.meta["cache"]) == sorted(seq.meta["cache"])
+        assert par.meta["batch_columns"] == seq.meta["batch_columns"]
+        assert par.meta["continuation_chains"] == 0
+
+
+class TestCallerOwnedCache:
+    def test_empty_owned_cache_runs_continuation(self, tiny_config):
+        cache = ArtifactCache()
+        owned = run_fig4(tiny_config, cache=cache, delta_continuation=True)
+        fresh = run_fig4(tiny_config, delta_continuation=True)
+        assert det_rows(owned) == det_rows(fresh)
+        assert owned.meta["cache"] == cache.stats()
+        assert len(cache) > 0
+
+    def test_empty_owned_cache_rejected_at_jobs2(self, tiny_config):
+        with pytest.raises(ValueError, match="caller-owned ArtifactCache"):
+            run_fig5(tiny_config, jobs=2, cache=ArtifactCache())
+
+    def test_filled_owned_cache_rejected_at_jobs2(self, tiny_config):
+        cache = ArtifactCache()
+        run_fig5(tiny_config, jobs=1, cache=cache)
+        assert len(cache) > 0
+        with pytest.raises(ValueError, match="caller-owned ArtifactCache"):
+            run_fig5(tiny_config, jobs=2, cache=cache)
 
 
 class TestConfigTransport:
@@ -395,12 +462,31 @@ class TestBatchColumns:
         assert det_rows(par) == det_rows(fig5_batch)
         assert par.meta["batch_columns"] == fig5_batch.meta["batch_columns"]
 
-    def test_fig4_batch_columns_is_noop(self, tiny_config):
-        # The swept δ changes every cell's kwargs, so nothing batches.
-        plain = run_fig4(tiny_config, jobs=1)
-        batch = run_fig4(tiny_config, jobs=1, batch_columns=True)
-        assert det_rows(batch) == det_rows(plain)
-        assert batch.meta["batch_columns"] == 0
+    @pytest.mark.parametrize("runner", [run_fig3, run_fig4])
+    def test_fig3_fig4_take_no_batch_columns(self, tiny_config, runner):
+        with pytest.raises(TypeError, match="batch_columns"):
+            runner(tiny_config, batch_columns=True)
+
+    @pytest.mark.parametrize("figure", ["fig3", "fig4"])
+    def test_cli_rejects_batch_columns_off_fig5(self, figure, capsys):
+        assert cli.main([figure, "--batch-columns", "--quiet"]) == 2
+        assert "--batch-columns" in capsys.readouterr().err
+
+    def test_cli_all_batches_fig5_only(self, monkeypatch):
+        seen = {}
+
+        def fake(name):
+            def run(config, **kwargs):
+                seen[name] = kwargs
+                return SweepResult(config=config, rows=[])
+            return run
+
+        monkeypatch.setattr(cli, "RUNNERS",
+                            {name: fake(name) for name in cli.RUNNERS})
+        assert cli.main(["all", "--batch-columns", "--quiet"]) == 0
+        assert seen["fig5"]["batch_columns"] is True
+        assert "batch_columns" not in seen["fig3"]
+        assert "batch_columns" not in seen["fig4"]
 
     def test_cache_off_matches(self, tiny_config, fig5_batch):
         uncached = run_fig5(tiny_config, jobs=1, batch_columns=True,
